@@ -22,18 +22,16 @@ first.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .info_dual import TwoLevelModes, golden_section_max
+from .info_dual import LN2, TwoLevelModes, golden_section_max
 from .noise import BoundSchedule
 from .trace_dual import DualValue
-
-LN2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +272,20 @@ def energy_from_covariance(gamma: np.ndarray, op: QuadraticOp) -> float:
 
 
 def _orthogonal_from_generator(m: np.ndarray) -> np.ndarray:
-    """R = exp(2 m) with a fast path for generators of small support."""
-    n2 = m.shape[0]
-    support = np.flatnonzero(np.any(m != 0.0, axis=0) | np.any(m != 0.0, axis=1))
-    if support.size == 0:
-        return np.eye(n2)
-    if support.size <= 8:
-        r = np.eye(n2)
-        sub = scipy.linalg.expm(2.0 * m[np.ix_(support, support)])
-        r[np.ix_(support, support)] = sub
-        return r
-    return scipy.linalg.expm(2.0 * m)
+    """R = exp(2 m), one expm per connected block of m's support (a layer of
+    gates on disjoint bonds needs only 4x4 exponentials)."""
+    # imported here: csgraph adds import time and ~1 MB resident, which only
+    # code that builds a layer map should pay
+    import scipy.sparse.csgraph
+
+    n_blocks, labels = scipy.sparse.csgraph.connected_components(
+        m != 0.0, directed=False)
+    r = np.eye(m.shape[0])
+    for b in range(n_blocks):
+        idx = np.flatnonzero(labels == b)
+        if idx.size > 1:
+            r[np.ix_(idx, idx)] = scipy.linalg.expm(2.0 * m[np.ix_(idx, idx)])
+    return r
 
 
 def evolve_covariance_unitary(gamma: np.ndarray, h_u: QuadraticOp) -> np.ndarray:
@@ -306,6 +307,24 @@ def evolve_covariance_depolarizing(gamma: np.ndarray, p: float, site: int) -> np
     return (1.0 - p) * gamma + p * zeroed
 
 
+@functools.lru_cache(maxsize=16)
+def _noise_multiplier(n: int, p: float, sites: tuple[int, ...]) -> np.ndarray:
+    """Entrywise factor equal to depolarizing at rate p on each of ``sites``
+    in turn: with k_x the number of times mode x occurs, an entry between
+    modes x != y scales by (1-p)^(k_x + k_y), one within mode x by
+    (1-p)^k_x.  Read-only, as it is shared between calls."""
+    idx = np.asarray(sites, dtype=int)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError("site out of range")
+    mode = np.tile(np.arange(n), 2)
+    k = np.bincount(idx, minlength=n)[mode]
+    power = np.where(mode[:, None] == mode[None, :], k[:, None],
+                     k[:, None] + k[None, :])
+    mult = (1.0 - p) ** power
+    mult.flags.writeable = False
+    return mult
+
+
 @dataclass
 class FermionLayer:
     """One circuit layer: Gaussian unitary exp(-i H_U) with quadratic
@@ -314,6 +333,9 @@ class FermionLayer:
     generator: QuadraticOp
     p: float = 0.0
     depolarized_sites: tuple[int, ...] | None = None
+    # (generator matrix, R) of the last orthogonal_map call
+    _map: tuple | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -325,6 +347,16 @@ class FermionLayer:
         if self.depolarized_sites is None:
             return tuple(range(n))
         return self.depolarized_sites
+
+    def orthogonal_map(self) -> np.ndarray:
+        """R = exp(2 m_U), built on first use and rebuilt whenever the
+        generator's matrix differs from the one R was built from."""
+        m = self.generator.matrix
+        if self._map is None or not np.array_equal(self._map[0], m):
+            r = _orthogonal_from_generator(m)
+            r.flags.writeable = False
+            self._map = (m.copy(), r)
+        return self._map[1]
 
 
 @dataclass
@@ -350,10 +382,10 @@ class FermionCircuit:
 def covariance_layer_step(gamma: np.ndarray, layer: FermionLayer) -> np.ndarray:
     """Forward (Schrodinger) action of one layer on a covariance matrix."""
     n = gamma.shape[0] // 2
-    g = evolve_covariance_unitary(gamma, layer.generator)
+    r = layer.orthogonal_map()
+    g = r @ gamma @ r.T
     if layer.p > 0.0:
-        for site in layer.sites(n):
-            g = evolve_covariance_depolarizing(g, layer.p, site)
+        g = g * _noise_multiplier(n, layer.p, layer.sites(n))
     return g
 
 
@@ -376,9 +408,8 @@ def heisenberg_quadratic_step(op: QuadraticOp, layer: FermionLayer) -> Quadratic
     n = op.n_modes
     s = op.matrix
     if layer.p > 0.0:
-        for site in layer.sites(n):
-            s = evolve_covariance_depolarizing(s, layer.p, site)
-    r = _orthogonal_from_generator(layer.generator.matrix)
+        s = s * _noise_multiplier(n, layer.p, layer.sites(n))
+    r = layer.orthogonal_map()
     return QuadraticOp(r.T @ s @ r, op.constant)
 
 
@@ -504,23 +535,54 @@ def fermionic_free_energy(op: QuadraticOp, lam: float) -> float:
                  + np.sum(eps / lam + np.log1p(np.exp(-2.0 * eps / lam))))
 
 
+def _doubled_spectrum(m: np.ndarray):
+    """Mode energies from one symmetric eigendecomposition m^T m = V L V^T,
+    whose eigenvalues are the squared mode energies, each twice.  Returns
+    (e, mV, V) where e_i = |m v_i| (length 2N, every eps_x twice, so sums
+    over modes are half sums over e).  Column norms keep zero modes near
+    zero, where sqrt(L) would lift them to ~1e-8; energies below
+    1e-11*scale are set to exactly 0, as in canonical_form."""
+    s = m.T @ m
+    w, v = np.linalg.eigh(s)
+    scale = max(1.0, np.abs(m).max())
+    if np.abs(s @ v - v * w).max() > 1e-7 * scale ** 2:
+        raise RuntimeError("eigendecomposition residual check failed")
+    mv = m @ v
+    e = np.linalg.norm(mv, axis=0)
+    e[e <= 1e-11 * scale] = 0.0
+    return e, mv, v
+
+
+def _gibbs_covariance(spectrum, lam: float) -> np.ndarray:
+    """Covariance of exp(-H/lambda)/Z from _doubled_spectrum's output:
+    gamma = m V diag(-tanh(e/lambda)/e) V^T, the mode weights
+    -tanh(eps/lambda) of thermal_covariance (zero modes contribute 0)."""
+    e, mv, v = spectrum
+    f = -np.tanh(e / lam) / np.where(e > 0.0, e, 1.0)
+    g = (mv * f) @ v.T
+    return 0.5 * (g - g.T)
+
+
 def _step_term_fermion(ht: QuadraticOp, c_nats: float, lam: float | None):
     """max_lambda [G(H_t, lambda) + lambda*c] with G = -lambda ln Z, via the
-    cached mode energies.  Returns (term, lambda, eps, q)."""
-    eps, q = canonical_form(ht.matrix)
-    esum = float(np.sum(eps))
+    mode energies.  Returns (term, lambda, spectrum) with spectrum from
+    _doubled_spectrum."""
+    spectrum = _doubled_spectrum(ht.matrix)
+    e = spectrum[0]
+    esum = 0.5 * float(e.sum())
+    minus_2e = -2.0 * e
 
     def objective(la: float) -> float:
         return float(ht.constant - esum
-                     - la * np.sum(np.log1p(np.exp(-2.0 * eps / la)))
+                     - 0.5 * la * np.log1p(np.exp(minus_2e / la)).sum()
                      + la * c_nats)
 
     if lam is not None:
         if lam <= 0.0:
             raise ValueError("lambda_t must be positive")
-        return objective(lam), lam, eps, q
+        return objective(lam), lam, spectrum
     lam_star, val = golden_section_max(objective, 1e-8, 1e9)
-    return val, lam_star, eps, q
+    return val, lam_star, spectrum
 
 
 def _defect_ops(s_list: list[QuadraticOp], circuit: FermionCircuit,
@@ -569,11 +631,10 @@ def _dual_value_parts(s_list, circuit, target, schedule, lambdas=None):
     for t, ht in enumerate(hs):
         c_nats = LN2 * (n - float(schedule.values[t]))
         lam = None if lambdas is None else lambdas[t]
-        term, lam_star, eps, q = _step_term_fermion(ht, c_nats, lam)
+        term, lam_star, spectrum = _step_term_fermion(ht, c_nats, lam)
         terms[t] = term
         lams[t] = lam_star
-        weights = -np.tanh(eps / lam_star)
-        gibbs.append(q @ _interleaved_blocks(np.ones_like(eps), weights) @ q.T)
+        gibbs.append(_gibbs_covariance(spectrum, lam_star))
     value = DualValue(boundary + float(np.sum(terms)), boundary, -terms)
     return value, lams, gibbs
 

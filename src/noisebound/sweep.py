@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import circuits, exact, fermion, info_dual, trace_dual
-from .config import ExperimentConfig
+from .config import _MPO_METHODS, ExperimentConfig
 from .mpo import MPO
 from .noise import (NoiseModel, biased_tau, depolarizing, info_schedule,
                     max_replacement_fraction, purity_schedule,
@@ -29,8 +29,6 @@ from .noise import (NoiseModel, biased_tau, depolarizing, info_schedule,
 from .report import CSV_COLUMNS, BoundReport, write_csv
 
 WORKERS_ENV = "NOISEBOUND_WORKERS"
-
-_MPO_METHODS = ("trace_dual", "tebd_error", "nonunital_dual")
 
 
 @dataclass(frozen=True)

@@ -284,6 +284,90 @@ def test_heisenberg_step_is_pairing_adjoint():
     assert abs(forward - backward) < 1e-11
 
 
+def per_site_depolarizing(g: np.ndarray, p: float, sites) -> np.ndarray:
+    for site in sites:
+        g = evolve_covariance_depolarizing(g, p, site)
+    return g
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("sites", [None, (), (2,), (0, 3, 4), (1, 1, 4),
+                                   (0, 1, 2, 3, 4)])
+def test_noise_multiplier_matches_per_site_composition(p, sites):
+    """One entrywise multiplier per layer equals depolarizing one site at a
+    time, in both the forward and the adjoint step."""
+    from noisebound.fermion import _noise_multiplier
+    n = 5
+    rng = np.random.default_rng(40)
+    layer = FermionLayer(random_op(n, 41), p=p, depolarized_sites=sites)
+    listed = layer.sites(n)
+    g = random_antisym(2 * n, rng)
+    want = per_site_depolarizing(g, p, listed)
+    assert np.abs(_noise_multiplier(n, p, listed) * g - want).max() < 1e-14
+
+    r = scipy.linalg.expm(2.0 * layer.generator.matrix)
+    forward = per_site_depolarizing(r @ g @ r.T, p, listed)
+    assert np.abs(covariance_layer_step(g, layer) - forward).max() < 1e-13
+    op = QuadraticOp(g, 0.3)
+    backward = r.T @ per_site_depolarizing(g, p, listed) @ r
+    got = heisenberg_quadratic_step(op, layer)
+    assert np.abs(got.matrix - backward).max() < 1e-13
+    assert got.constant == 0.3
+
+
+def test_noise_multiplier_random_subsets_and_bad_site():
+    from noisebound.fermion import _noise_multiplier
+    rng = np.random.default_rng(42)
+    n = 7
+    g = random_antisym(2 * n, rng)
+    for _ in range(10):
+        size = int(rng.integers(0, n + 1))
+        sites = tuple(int(x) for x in rng.choice(n, size=size, replace=False))
+        p = float(rng.uniform())
+        want = per_site_depolarizing(g, p, sites)
+        assert np.abs(_noise_multiplier(n, p, sites) * g - want).max() < 1e-14
+    with pytest.raises(ValueError):
+        covariance_layer_step(g, FermionLayer(random_op(n, 43), 0.1, (n,)))
+
+
+def test_layer_map_is_cached_orthogonal_expm():
+    """The layer's R equals expm(2 m) for dense and bond-local generators,
+    is orthogonal, and is built once."""
+    circ, _ = fermion_brickwall_1d(8, 4, 0.1, 44)
+    layers = circ.layers + [FermionLayer(random_op(8, 45), 0.1),
+                            FermionLayer(quadratic_zero(8), 0.1)]
+    for layer in layers:
+        r = layer.orthogonal_map()
+        want = scipy.linalg.expm(2.0 * layer.generator.matrix)
+        assert np.abs(r - want).max() < 1e-12
+        assert np.abs(r @ r.T - np.eye(16)).max() < 1e-12
+        assert layer.orthogonal_map() is r
+
+
+def test_layer_map_never_stale():
+    """Replacing the generator, editing its matrix in place, or replacing
+    the layer all rebuild R."""
+    import dataclasses
+    n = 4
+    gamma = ground_state_covariance(random_op(n, 46))
+    layer = FermionLayer(random_op(n, 47), 0.2)
+    covariance_layer_step(gamma, layer)
+
+    def check():
+        r = scipy.linalg.expm(2.0 * layer.generator.matrix)
+        assert np.abs(layer.orthogonal_map() - r).max() < 1e-12
+        want = per_site_depolarizing(r @ gamma @ r.T, 0.2, range(n))
+        assert np.abs(covariance_layer_step(gamma, layer) - want).max() < 1e-13
+
+    layer.generator = random_op(n, 48)
+    check()
+    layer.generator.matrix[0, 5] += 0.4
+    layer.generator.matrix[5, 0] -= 0.4
+    check()
+    layer = dataclasses.replace(layer, generator=random_op(n, 49))
+    check()
+
+
 # ---------------------------------------------------------------------------
 # SSH targets and mirror circuits
 
@@ -365,6 +449,76 @@ def fermion_setup(n=6, depth=4, p=0.08, seed=25):
     sched = info_schedule(n, depth, p)
     _, energy = simulate_covariance(circ, target)
     return circ, target, sched, energy
+
+
+def canonical_step_term(ht: QuadraticOp, c_nats: float, lam: float) -> float:
+    """The step term from the paired mode energies of the canonical form."""
+    eps, _ = canonical_form(ht.matrix)
+    return float(ht.constant - np.sum(eps)
+                 - lam * np.sum(np.log1p(np.exp(-2.0 * eps / lam)))
+                 + lam * c_nats)
+
+
+def ops_with_zero_modes(n: int, seed: int) -> list[QuadraticOp]:
+    """Random operators, some supported on a subset of modes or of
+    Majoranas (so with exact zero modes), plus the zero operator."""
+    rng = np.random.default_rng(seed)
+    ops = [QuadraticOp(random_antisym(2 * n, rng), 0.4),
+           quadratic_zero(n)]
+    for keep in (1, 2, n - 1):
+        mask = np.zeros(n, bool)
+        mask[rng.choice(n, size=keep, replace=False)] = True
+        sub = np.tile(mask, 2)
+        ops.append(QuadraticOp(np.where(np.outer(sub, sub),
+                                        random_antisym(2 * n, rng), 0.0), -0.2))
+    odd = np.zeros(2 * n, bool)
+    odd[[0, 3, n + 1]] = True
+    ops.append(QuadraticOp(np.where(np.outer(odd, odd),
+                                    random_antisym(2 * n, rng), 0.0)))
+    return ops
+
+
+def test_spectral_step_term_matches_canonical_form():
+    from noisebound.fermion import _gibbs_covariance, _step_term_fermion
+    for op in ops_with_zero_modes(5, 50):
+        for lam in (1e-8, 1e-3, 0.05, 0.7, 3.0, 1e4):
+            term, got_lam, spectrum = _step_term_fermion(op, 0.9, lam)
+            assert got_lam == lam
+            want = canonical_step_term(op, 0.9, lam)
+            assert abs(term - want) < 1e-12 * max(1.0, abs(want))
+            gibbs = _gibbs_covariance(spectrum, lam)
+            assert np.abs(gibbs - thermal_covariance(op, lam)).max() < 1e-9
+        e = np.sort(spectrum[0])
+        assert np.abs(e[::2] - e[1::2]).max() < 1e-12
+        assert np.abs(e[::2] - np.sort(mode_energies(op))).max() < 1e-12
+
+
+def test_dual_value_gibbs_matches_thermal_covariance():
+    """Each Gibbs matrix of the dual evaluation is the thermal covariance of
+    its defect operator at the chosen lambda, including defects with zero
+    modes."""
+    from noisebound.fermion import _defect_ops, _dual_value_parts
+    circ, target, sched, _ = fermion_setup()
+    n = circ.n_modes
+    candidates = [
+        [random_op(n, 60 + t).scaled(0.3) for t in range(circ.depth)],
+        [quadratic_zero(n) for _ in range(circ.depth)],
+        ops_with_zero_modes(n, 61)[2:2 + circ.depth - 1] + [-target],
+    ]
+    for s_list in candidates:
+        _, lams, gibbs = _dual_value_parts(s_list, circ, target, sched)
+        for ht, lam, g in zip(_defect_ops(s_list, circ, target), lams, gibbs):
+            assert np.abs(g - thermal_covariance(ht, lam)).max() < 1e-9
+
+
+def test_fixed_dual_value_pinned_at_scale():
+    """The seed-dual bound of the 48-mode, depth-24 chain at radius 1, as
+    computed by the canonical-form evaluation."""
+    circ, target = fermion_brickwall_1d(48, 24, 0.05, 97)
+    sched = info_schedule(48, 24, 0.05)
+    s_list = default_fermion_initial_duals(circ, target, 1, circ.meta["coords"])
+    got = fermionic_dual_value(s_list, circ, target, sched).bound
+    assert abs(got - (-0.15906885933480863)) < 1e-9
 
 
 def test_dual_value_sound_random_duals():
