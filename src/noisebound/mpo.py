@@ -11,7 +11,7 @@ All operations are functional: inputs are never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,16 +42,12 @@ _DENSE_SITE_CAP = 12
 class MPO:
     """An operator on ``n`` qubits in matrix-product form.
 
-    canonical_form is one of ``"none" | "left" | "right" | "mixed"``; for
-    ``"mixed"`` the orthogonality centre index is stored in ``center``.
     ``hermitian`` is advisory: it records that the operator is Hermitian up
     to ~1e-10 and is asserted where it matters (expectation values).
     """
 
     tensors: list[Array]
     hermitian: bool = False
-    canonical_form: str = "none"
-    center: int | None = None
 
     def __post_init__(self):
         if not self.tensors:
@@ -75,8 +71,7 @@ class MPO:
         return [t.shape[-1] for t in self.tensors[:-1]]
 
     def copy(self) -> "MPO":
-        return MPO([t.copy() for t in self.tensors], self.hermitian,
-                   self.canonical_form, self.center)
+        return MPO([t.copy() for t in self.tensors], self.hermitian)
 
     def to_dense(self) -> Array:
         """Contract to a full ``2^n x 2^n`` matrix (guarded to n <= 12)."""
@@ -333,8 +328,7 @@ def compress(a: MPO, max_bond: int) -> tuple[MPO, float]:
         sites[k] = u[:, :keep].reshape(dl, p, keep)
         sv = (s[:keep, None] * vh[:keep, :])
         sites[k + 1] = np.tensordot(sv, sites[k + 1], axes=(1, 0))
-    out = MPO([_as_mpo_site(t) for t in sites], hermitian=False,
-              canonical_form="mixed", center=n - 1)
+    out = MPO([_as_mpo_site(t) for t in sites], hermitian=False)
     return out, float(np.sqrt(err2))
 
 
