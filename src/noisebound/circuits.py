@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mpo import (MPO, PAULI, Array, apply_gate, compress, from_pauli_sum,
-                  sum_local_mpo)
+from .mpo import (_EYE2, MPO, PAULI, Array, apply_gate, compress,
+                  from_pauli_sum, sum_local_mpo)
 from .noise import NoiseModel, depolarizing
 
-_EYE2 = np.eye(2, dtype=complex)
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 

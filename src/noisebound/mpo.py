@@ -6,11 +6,19 @@ with a fused dimension-4 physical leg wherever a 2-norm is needed, so the
 Hilbert-Schmidt inner product, Frobenius norm and SVD compression are the
 standard MPS operations.
 
+Gate adjoints are exact up to a relative floor: a two-site gate is applied
+through its operator-Schmidt factors, dropping only factors below
+``SVAL_FLOOR``, except where that would exceed the bond of an SVD split
+(chain ends, rank-4 gates such as SWAP), whose re-split drops singular
+values below the floor without reporting them.  Truncation to a bond cap
+happens only in :func:`compress`, which returns the exact discarded norm.
+
 All operations are functional: inputs are never mutated.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -341,12 +349,49 @@ def _check_unitary(u: Array, dim: int) -> Array:
     return u
 
 
+@functools.lru_cache(maxsize=64)
+def _schmidt_kernels(key: bytes) -> tuple[Array, Array]:
+    """Operator-Schmidt kernels of V = U^dag = sum_s a_s (x) b_s.
+
+    ``key`` holds the bytes of the 4x4 complex gate U, so a circuit that
+    reuses a gate factors it once; the returned arrays are read-only.
+
+    V[(o1 o2), (x1 x2)] is reshuffled to M[(o1 x1), (o2 x2)] and split by
+    one 4x4 SVD; factors with singular value <= SVAL_FLOOR * s_0 are
+    dropped.  Returns ``(ka, kb)``, each of shape ``(r^2, 4, 4)``, with
+
+        ka[(s, s'), (o, i), (x, y)] = a_s[o, x] * conj(a_s'[i, y])
+
+    and likewise for ``kb``, so that ``ka[(s, s')]`` applied to a site
+    operator L gives a_s L a_s'^dag.
+    """
+    v = np.frombuffer(key, dtype=complex).reshape(4, 4).conj().T
+    m = v.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    um, s, vh = np.linalg.svd(m)
+    r = max(1, int(np.sum(s > SVAL_FLOOR * s[0])))
+    fa = (um[:, :r] * s[:r]).T.reshape(r, 2, 2)
+    fb = vh[:r].reshape(r, 2, 2)
+    ka = np.einsum("sox,tiy->stoixy", fa, fa.conj()).reshape(r * r, 4, 4)
+    kb = np.einsum("sox,tiy->stoixy", fb, fb.conj()).reshape(r * r, 4, 4)
+    ka.flags.writeable = False
+    kb.flags.writeable = False
+    return ka, kb
+
+
 def apply_gate_adjoint(a: MPO, gate: Array, sites: tuple[int, ...]) -> MPO:
     """Heisenberg-picture update A -> U^dag A U.
 
     Single-site gates act in place; two-site gates must act on adjacent
-    sites (use :func:`apply_gate_adjoint_longrange` otherwise) and grow the
-    touched bond by at most a factor of 4.
+    sites (use :func:`apply_gate_adjoint_longrange` otherwise).
+
+    A two-site gate is split into its operator-Schmidt factors
+    V = U^dag = sum_s a_s (x) b_s (rank r <= 4), and the pair is updated as
+    V (L (x) R) V^dag = sum_{s,s'} (a_s L a_s'^dag) (x) (b_s R b_s'^dag),
+    which is exact at bond D_mid * r^2 and drops only gate factors below
+    the relative floor SVAL_FLOOR.  When that bond would exceed the SVD bound
+    min(4 D_left, 4 D_right) (chain ends, and rank-4 gates such as SWAP),
+    the updated pair is instead re-split by an SVD, which discards
+    singular values below the floor without reporting them.
     """
     n = a.n_sites
     for s in sites:
@@ -368,7 +413,17 @@ def apply_gate_adjoint(a: MPO, gate: Array, sites: tuple[int, ...]) -> MPO:
     u = _check_unitary(gate, 4)
     v = u.conj().T
     ti, tj = a.tensors[i], a.tensors[j]
-    dl, dr = ti.shape[0], tj.shape[-1]
+    dl, dm, dr = ti.shape[0], ti.shape[-1], tj.shape[-1]
+    tensors = list(a.tensors)
+    ka, kb = _schmidt_kernels(u.tobytes())
+    r2 = ka.shape[0]
+    if r2 * dm <= 4 * min(dl, dr):
+        # new bond index is (m, s, s'), m the old bond
+        li = np.tensordot(ti.reshape(dl, 4, dm), ka, axes=(1, 2))  # (l, m, ss', oi)
+        tensors[i] = li.transpose(0, 3, 1, 2).reshape(dl, 2, 2, dm * r2)
+        rj = np.tensordot(kb, tj.reshape(dm, 4, dr), axes=(2, 1))  # (ss', oi, m, r)
+        tensors[j] = rj.transpose(2, 0, 1, 3).reshape(dm * r2, 2, 2, dr)
+        return MPO(tensors, hermitian=a.hermitian)
     theta = np.tensordot(ti, tj, axes=(-1, 0))          # (l, o1, i1, o2, i2, r)
     theta = theta.transpose(0, 1, 3, 2, 4, 5).reshape(dl, 4, 4, dr)
     theta = np.einsum("oa,labr,ib->loir", v, theta, v.conj())
@@ -379,7 +434,6 @@ def apply_gate_adjoint(a: MPO, gate: Array, sites: tuple[int, ...]) -> MPO:
         keep = max(1, int(np.sum(s > SVAL_FLOOR * s[0])))
     else:
         keep = 1
-    tensors = list(a.tensors)
     tensors[i] = um[:, :keep].reshape(dl, 2, 2, keep)
     tensors[j] = (s[:keep, None] * vh[:keep, :]).reshape(keep, 2, 2, dr)
     return MPO(tensors, hermitian=a.hermitian)

@@ -21,12 +21,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mpo import PAULI, Array
+from .mpo import _EYE2, PAULI, Array
 
 if TYPE_CHECKING:  # pragma: no cover
     from .circuits import CircuitSpec
-
-_EYE2 = np.eye(2, dtype=complex)
 
 
 # ---------------------------------------------------------------------------

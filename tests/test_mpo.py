@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisebound.circuits import brickwall_1d, haar_single_qubit, xx_gate, zz_gate
 from noisebound.mpo import (
     MPO,
+    SWAP,
     apply_depolarizing_adjoint,
     apply_gate,
     apply_gate_adjoint,
@@ -31,7 +33,8 @@ from noisebound.mpo import (
     symmetrize,
     zero_mpo,
 )
-from noisebound.noise import depolarizing, superop_matrix
+from noisebound.noise import depolarizing, purity_schedule, superop_matrix
+from noisebound.trace_dual import dual_value_trace, heisenberg_tebd
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -265,6 +268,79 @@ def test_gate_adjoint_longrange_vs_dense():
                 bb = sum(v << (n - 1 - k) for k, v in enumerate(nb))
                 u[bb, b] += amp
     assert np.abs(got - u.conj().T @ a.to_dense() @ u).max() < 1e-10
+
+
+def _two_site_gates() -> dict[str, tuple[np.ndarray, int]]:
+    """Two-site gates with their operator-Schmidt rank r."""
+    rng = np.random.default_rng(26)
+    haar4 = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+    cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    return {
+        "product": (np.kron(haar_single_qubit(rng), haar_single_qubit(rng)), 1),
+        "xx": (xx_gate(0.37), 2),
+        "zz": (zz_gate(-0.81), 2),
+        "cz": (cz, 2),
+        "cnot": (cnot, 2),
+        "swap": (SWAP, 4),
+        "haar": (haar4, 4),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_two_site_gates()))
+def test_gate_adjoint_every_bond_vs_dense(name):
+    """Every two-site gate at every bond, chain ends included, matches the
+    dense U^dag A U; the factored path gives bond D_mid * r^2 exactly when
+    it fits under the SVD bound min(4 D_left, 4 D_right)."""
+    gate, r = _two_site_gates()[name]
+    for n in (2, 3, 6):
+        for bond in (1, 3, 8):
+            a = random_mpo(n, bond, np.random.default_rng(100 * n + bond))
+            dense = a.to_dense()
+            for i in range(n - 1):
+                got = apply_gate_adjoint(a, gate, (i, i + 1))
+                u = embed(gate, n, (i, i + 1))
+                err = np.abs(got.to_dense() - u.conj().T @ dense @ u).max()
+                assert err < 1e-12 * max(1.0, np.abs(dense).max())
+                dl = a.tensors[i].shape[0]
+                dm = a.tensors[i].shape[-1]
+                dr = a.tensors[i + 1].shape[-1]
+                new_bond = got.tensors[i].shape[-1]
+                if r * r * dm <= 4 * min(dl, dr):
+                    assert new_bond == dm * r * r
+                else:
+                    assert new_bond <= 4 * min(dl, dr)
+                assert got.bond_dims[:i] + got.bond_dims[i + 1:] == \
+                    a.bond_dims[:i] + a.bond_dims[i + 1:]
+
+
+def test_gate_adjoint_fallback_at_chain_ends_and_for_swap():
+    """On 3 * identity stored at bond 3, U^dag A U = A.  The SVD fallback
+    re-splits the pair to its rank (1 at a chain end, 3 inside); the
+    factored path keeps D_mid * r^2 = 12 for XX, and would give 48 for
+    SWAP."""
+    n = 6
+    a = mpo_add(mpo_add(identity_mpo(n), identity_mpo(n)), identity_mpo(n))
+    assert a.bond_dims == [3] * (n - 1)
+    xx = xx_gate(0.37)
+    for i in range(n - 1):
+        got = apply_gate_adjoint(a, xx, (i, i + 1))
+        assert np.abs(got.to_dense() - 3.0 * np.eye(2**n)).max() < 1e-12
+        chain_end = i in (0, n - 2)
+        assert got.bond_dims[i] == (1 if chain_end else 3 * 4)
+        swapped = apply_gate_adjoint(a, SWAP, (i, i + 1))
+        assert swapped.bond_dims[i] == (1 if chain_end else 3)
+
+
+@pytest.mark.parametrize("bond, expected", [(4, 0.16115700082581658),
+                                            (8, 0.27577541845038483)])
+def test_tebd_trace_dual_pinned(bond, expected):
+    """The TEBD trace-dual bound of a fixed 8-site brick-wall instance is
+    pinned to the value computed with SVD-split gate adjoints."""
+    circ, target = brickwall_1d(8, 7, 0.1, 0.1, 3)
+    dual = heisenberg_tebd(circ, target, bond)
+    bound = dual_value_trace(circ, dual, target, purity_schedule(8, 7, 0.1)).bound
+    assert abs(bound - expected) < 1e-9
 
 
 def test_depolarizing_adjoint_vs_superop():
