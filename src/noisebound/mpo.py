@@ -411,7 +411,6 @@ def apply_gate_adjoint(a: MPO, gate: Array, sites: tuple[int, ...]) -> MPO:
     if j != i + 1:
         raise ValueError("two-site gates must act on adjacent sites (i, i+1)")
     u = _check_unitary(gate, 4)
-    v = u.conj().T
     ti, tj = a.tensors[i], a.tensors[j]
     dl, dm, dr = ti.shape[0], ti.shape[-1], tj.shape[-1]
     tensors = list(a.tensors)
@@ -424,6 +423,7 @@ def apply_gate_adjoint(a: MPO, gate: Array, sites: tuple[int, ...]) -> MPO:
         rj = np.tensordot(kb, tj.reshape(dm, 4, dr), axes=(2, 1))  # (ss', oi, m, r)
         tensors[j] = rj.transpose(2, 0, 1, 3).reshape(dm * r2, 2, 2, dr)
         return MPO(tensors, hermitian=a.hermitian)
+    v = u.conj().T
     theta = np.tensordot(ti, tj, axes=(-1, 0))          # (l, o1, i1, o2, i2, r)
     theta = theta.transpose(0, 1, 3, 2, 4, 5).reshape(dl, 4, 4, dr)
     theta = np.einsum("oa,labr,ib->loir", v, theta, v.conj())

@@ -37,11 +37,10 @@ def apply_layer_adjoint(a: MPO, layer: Layer) -> MPO:
     A layer acts as rho -> N^xN(U rho U^dag), so the adjoint applies the
     noise adjoint to every site first, then the gate adjoints in reverse
     order.  A two-site gate of operator-Schmidt rank r multiplies its bond
-    by r^2 (r <= 2 for XX, ZZ, CZ, CNOT), capped at 4x the neighbouring
-    bond by an SVD re-split; non-adjacent gates run through swap chains.
-    Only gate factors below the relative floor ``SVAL_FLOOR`` are dropped,
-    and only the SVD re-split can drop weight (again below the floor)
-    without it being charged.
+    by r^2 (r <= 2 for XX, ZZ, CZ, CNOT), capped at 4 min(D_left, D_right)
+    by an SVD re-split; non-adjacent gates run through swap chains.  Only
+    gate factors and, in the SVD re-split, singular values below the
+    relative floor ``SVAL_FLOOR`` are dropped, uncharged.
     """
     n = a.n_sites
     if layer.noise.kind == "depolarizing":
@@ -97,10 +96,10 @@ def heisenberg_tebd(circuit: CircuitSpec, target: MPO, max_bond: int) -> TebdDua
     t = d-1 .. 1, where Pi_D is SVD compression to bond ``max_bond``
     followed by Hermitian symmetrization.  The recorded defect norms are
     the exact compression errors (symmetrization cannot increase them).
-    The gate adjoints drop nothing beyond gate factors below the 1e-14
-    relative floor, except the SVD re-split at chain ends and for rank-4
-    gates, which can drop singular values below that same floor without
-    charging them; both are far below every tolerance used downstream.
+    Gate adjoints are exact up to the 1e-14 relative floor ``SVAL_FLOOR``:
+    they drop gate factors below it and, in the SVD re-split at chain ends
+    and for rank-4 gates, singular values below it.  Neither is charged;
+    both are far below every tolerance used downstream.
     """
     if target.n_sites != circuit.n_sites:
         raise ValueError("target must act on the circuit's sites")
