@@ -17,7 +17,7 @@ import numpy as np
 from . import exact, fermion, sweep
 from .config import ConfigError, load_config
 from .report import read_csv
-from .mpo import MPO
+from .mpo import _DENSE_SITE_CAP, MPO
 
 PLOT_TEMPLATES = ("bound_vs_depth", "bound_vs_p_theta_heatmap",
                   "fermion_vs_depth")
@@ -110,8 +110,9 @@ def oracle_check(cfg) -> list[str]:
     """Recompute every grid point and verify each claimed lower bound
     against the exact output energy (dense for qubit circuits, covariance
     for Gaussian ones).  Returns a list of violation descriptions."""
-    if cfg.n > 12:
-        raise ValueError(f"oracle cross-check needs n <= 12, got n = {cfg.n}")
+    if cfg.n > _DENSE_SITE_CAP:
+        raise ValueError(f"oracle cross-check needs n <= {_DENSE_SITE_CAP}, "
+                         f"got n = {cfg.n}")
     problems: list[str] = []
     for pt in sweep.expand_grid(cfg):
         circuit, target, _ = sweep.build_circuit(cfg, pt)

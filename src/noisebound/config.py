@@ -12,13 +12,13 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from .report import METHODS
+
 SCHEMA_VERSION = 1
 
 FAMILIES = ("single_qubit", "brickwall_1d", "brickwall_2d", "clifford",
             "fermion_1d", "fermion_2d")
 NOISE_MODELS = ("depolarizing", "unital_pauli", "nonunital")
-CONFIG_METHODS = ("trace_dual", "tebd_error", "info_only", "purity_only",
-                  "nonunital_dual", "fermion_dual")
 _FERMION_FAMILIES = ("fermion_1d", "fermion_2d")
 _MPO_METHODS = ("trace_dual", "tebd_error", "nonunital_dual")
 
@@ -148,7 +148,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(methods, list) or not methods:
         raise ConfigError("methods", "must be a non-empty list")
     for i, m in enumerate(methods):
-        if m not in CONFIG_METHODS:
+        if m not in METHODS:
             raise ConfigError(f"methods[{i}]", f"unknown method {m!r}")
         if m == "fermion_dual" and family not in _FERMION_FAMILIES:
             raise ConfigError(f"methods[{i}]", "fermion_dual needs a fermion family")

@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import CircuitSpec
-from .mpo import MPO, PAULI, Array
+from .mpo import _DENSE_SITE_CAP, MPO, PAULI, Array
 from .noise import superop_matrix
-
-_DENSE_CAP = 12
 
 
 def _tensorize(rho: Array, n: int) -> Array:
@@ -90,8 +88,8 @@ def dense_simulate(circuit: CircuitSpec, hamiltonian: MPO | Array | None = None,
     layer; the energy is evaluated against ``hamiltonian`` if given.
     """
     n = circuit.n_sites
-    if n > _DENSE_CAP:
-        raise ValueError(f"dense simulation capped at n={_DENSE_CAP}, got {n}")
+    if n > _DENSE_SITE_CAP:
+        raise ValueError(f"dense simulation capped at n={_DENSE_SITE_CAP}, got {n}")
     rho = product_density_matrix(circuit.initial_state)
     purities, infos = [], []
     states = [] if keep_states else None

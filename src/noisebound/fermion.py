@@ -29,7 +29,10 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .info_dual import LN2, TwoLevelModes, golden_section_max
+from .circuits import _even_bonds, _lattice_edges, _odd_bonds
+# golden_section_max is imported only so that bench/tracer.py can probe it
+from .info_dual import (LN2, TwoLevelModes, free_energy_term,  # noqa: F401
+                        golden_section_max)
 from .noise import BoundSchedule
 from .trace_dual import DualValue
 
@@ -477,9 +480,7 @@ def fermion_brickwall_1d(n: int, depth: int, p: float, seed: int,
     ground energy 0 of the [0, 1]-scaled target."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     target = ssh_hamiltonian_1d(n, v, w)
-    odd = [(i, i + 1) for i in range(0, n - 1, 2)]
-    even = [(i, i + 1) for i in range(1, n - 1, 2)]
-    groups = [g for g in (odd, even) if g]
+    groups = [g for g in (_odd_bonds(n), _even_bonds(n)) if g]
     layers = _mirror_layers(n, groups, depth, p, rng)
     circuit = FermionCircuit(
         n, layers, ground_state_covariance(target),
@@ -499,7 +500,8 @@ def fermion_brickwall_2d(lx: int, ly: int, depth: int, p: float, seed: int,
     n = lx * ly
     target = ssh_hamiltonian_2d(lx, ly, vx, wx, vy, wy)
     coords = grid_coords(lx, ly)
-    groups = _grid_bond_groups(lx, ly)
+    groups = [[(r * lx + c, r2 * lx + c2) for (r, c), (r2, c2) in edges]
+              for edges in _lattice_edges(lx, ly).values() if edges]
     layers = _mirror_layers(n, groups, depth, p, rng)
     circuit = FermionCircuit(
         n, layers, ground_state_covariance(target),
@@ -508,31 +510,13 @@ def fermion_brickwall_2d(lx: int, ly: int, depth: int, p: float, seed: int,
     return circuit, target
 
 
-def _grid_bond_groups(lx: int, ly: int) -> list[list[tuple[int, int]]]:
-    h_odd, h_even, v_odd, v_even = [], [], [], []
-    for r in range(ly):
-        for c in range(lx - 1):
-            bond = (r * lx + c, r * lx + c + 1)
-            (h_odd if c % 2 == 0 else h_even).append(bond)
-    for r in range(ly - 1):
-        for c in range(lx):
-            bond = (r * lx + c, (r + 1) * lx + c)
-            (v_odd if r % 2 == 0 else v_even).append(bond)
-    return [g for g in (h_odd, h_even, v_odd, v_even) if g]
-
-
 # ---------------------------------------------------------------------------
 # free energies and the fermionic information-content dual
 
 
 def fermionic_free_energy(op: QuadraticOp, lam: float) -> float:
-    """ln Tr exp(-H/lambda) in closed form:
-    -const/lambda + sum_x [eps_x/lambda + log(1 + exp(-2 eps_x/lambda))]."""
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
-    eps = mode_energies(op)
-    return float(-op.constant / lam
-                 + np.sum(eps / lam + np.log1p(np.exp(-2.0 * eps / lam))))
+    """ln Tr exp(-H/lambda) in closed form, from :func:`two_level_modes`."""
+    return two_level_modes(op).log_partition(lam)
 
 
 def _doubled_spectrum(m: np.ndarray):
@@ -568,21 +552,10 @@ def _step_term_fermion(ht: QuadraticOp, c_nats: float, lam: float | None):
     mode energies.  Returns (term, lambda, spectrum) with spectrum from
     _doubled_spectrum."""
     spectrum = _doubled_spectrum(ht.matrix)
-    e = spectrum[0]
-    esum = 0.5 * float(e.sum())
-    minus_2e = -2.0 * e
-
-    def objective(la: float) -> float:
-        return float(ht.constant - esum
-                     - 0.5 * la * np.log1p(np.exp(minus_2e / la)).sum()
-                     + la * c_nats)
-
-    if lam is not None:
-        if lam <= 0.0:
-            raise ValueError("lambda_t must be positive")
-        return objective(lam), lam, spectrum
-    lam_star, val = golden_section_max(objective, 1e-8, 1e9)
-    return val, lam_star, spectrum
+    eps = spectrum[0].reshape(-1, 2).mean(axis=1)
+    modes = TwoLevelModes(2.0 * eps, ht.constant - float(eps.sum()))
+    term, lam_star = free_energy_term(modes, c_nats, lam)
+    return term, lam_star, spectrum
 
 
 def _defect_ops(s_list: list[QuadraticOp], circuit: FermionCircuit,

@@ -17,10 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+import scipy.optimize
+from scipy.special import expit, logsumexp
 
 from .circuits import CircuitSpec
-from .mpo import MPO
+from .mpo import _DENSE_SITE_CAP, MPO
 from .noise import BoundSchedule
 from .report import BoundReport
 from .trace_dual import DualValue, TebdDual, boundary_term, defect_mpos
@@ -31,38 +32,34 @@ LN2 = math.log(2.0)
 # classically certifiable; 8 e^3 ~ 160.7 in the scaled energy units.
 DEFAULT_TEMPERATURE_CUTOFF = 8.0 * math.e**3
 
-_DENSE_GIBBS_CAP = 12
 
+def golden_section_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Maximize a concave function on [lo, hi] given ``f(x) -> (value, slope)``.
 
-def golden_section_max(f, lo: float, hi: float, iters: int = 200,
-                       tol: float = 1e-12) -> tuple[float, float]:
-    """Maximize a unimodal function on [lo, hi] (golden-section, log grid).
+    The maximizer is ``lo`` when the slope there is <= 0, ``hi`` when the
+    slope there is >= 0, and otherwise the sign change of the slope, found
+    by Brent's method on ln x (the temperature ranges used here span many
+    decades).  Returns (argmax, f(argmax)[0]), so the value reported is
+    always the objective at the point returned.
 
-    Returns (argmax, max).  The search runs on log(x), which suits the
-    temperature ranges used here (many decades, optimum often near an end).
+    The name is kept for the span tracer in ``bench/tracer.py``, which
+    probes ``info_dual.golden_section_max`` and ``fermion.golden_section_max``
+    and counts objective evaluations by wrapping the first positional
+    argument.  Callers therefore pass ``f`` positionally and call the search
+    through this module's name.
     """
     if not 0.0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
-    a, b = math.log(lo), math.log(hi)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(math.exp(c)), f(math.exp(d))
-    for _ in range(iters):
-        if b - a < tol * max(1.0, abs(a) + abs(b)):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(math.exp(d))
-    candidates = [(math.exp(lo_x), val) for lo_x, val in ((c, fc), (d, fd))]
-    candidates += [(lo, f(lo)), (hi, f(hi))]
-    x_best, f_best = max(candidates, key=lambda kv: kv[1])
-    return x_best, f_best
+    v_lo, s_lo = f(lo)
+    if s_lo <= 0.0:
+        return lo, v_lo
+    v_hi, s_hi = f(hi)
+    if s_hi >= 0.0:
+        return hi, v_hi
+    u = scipy.optimize.brentq(lambda u: f(math.exp(u))[1],
+                              math.log(lo), math.log(hi), xtol=1e-14)
+    x = math.exp(u)
+    return x, f(x)[0]
 
 
 @dataclass
@@ -95,6 +92,12 @@ class TwoLevelModes:
             raise ValueError("lambda must be positive")
         return float(-self.offset / lam + np.sum(np.log1p(np.exp(-self.gaps / lam))))
 
+    def entropy(self, lam: float) -> float:
+        """Gibbs entropy in nats: sum_x [log(1 + e^-x) + x e^-x / (1 + e^-x)]
+        with x = gap / lambda."""
+        x = self.gaps / lam
+        return float(np.sum(np.log1p(np.exp(-x)) + x * expit(-x)))
+
     def spectrum(self) -> np.ndarray:
         """All 2^n_modes energies, ascending (capped at 20 modes)."""
         if self.n_modes > 20:
@@ -119,33 +122,68 @@ def gibbs_free_energy_dense(h: np.ndarray, lam: float) -> float:
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("H must be a square matrix")
-    if h.shape[0] > 2**_DENSE_GIBBS_CAP:
-        raise ValueError("dense free energy capped at n=12 qubits")
+    if h.shape[0] > 2**_DENSE_SITE_CAP:
+        raise ValueError(f"dense free energy capped at n={_DENSE_SITE_CAP} qubits")
     if np.abs(h - h.conj().T).max() > 1e-10 * max(1.0, np.abs(h).max()):
         raise ValueError("H must be Hermitian")
     ev = np.linalg.eigvalsh(h)
     return float(-lam * logsumexp(-ev / lam))
 
 
-def _log_partition_fn(h, n: int):
-    """Return ln Tr exp(-H/lambda) as a function of lambda, given spectrum
-    access to H (dense matrix, small MPO, or analytic mode description)."""
+def _spectrum(h, n: int):
+    """Spectrum access to H: a :class:`TwoLevelModes` as given, otherwise the
+    eigenvalues of a dense matrix on n qubits or of an MPO on <= 12 sites."""
     if isinstance(h, TwoLevelModes):
-        return h.log_partition
+        return h
     if isinstance(h, MPO):
-        if h.n_sites > _DENSE_GIBBS_CAP:
+        if h.n_sites > _DENSE_SITE_CAP:
             raise ValueError(
                 f"free energy of a generic MPO on {h.n_sites} sites requires "
                 "spectrum access; supply a TwoLevelModes description or a "
                 "dense matrix instead")
         mat = h.to_dense()
-        ev = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
     else:
         mat = np.asarray(h)
         if mat.shape[0] != 2**n:
             raise ValueError(f"dense H has dimension {mat.shape[0]} != 2^{n}")
-        ev = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-    return lambda lam: float(logsumexp(-ev / lam))
+    return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+
+
+def free_energy_term(spec, c_nats: float, lam: float | None = None,
+                     lo: float = 1e-8, hi: float = 1e9) -> tuple[float, float]:
+    """max over lambda in [lo, hi] of lambda * c - lambda * ln Z(lambda), or
+    its value at a fixed ``lam``; returns (term, lambda used).
+
+    ``spec`` is a :class:`TwoLevelModes` or an array of eigenvalues.  The
+    slope of the objective is c - S(lambda), with S the Gibbs entropy in
+    nats, which grows with lambda; so the maximizer is where the entropy
+    meets the cap c, or an end of [lo, hi] when it never does.
+    """
+    if isinstance(spec, TwoLevelModes):
+        logz, entropy = spec.log_partition, spec.entropy
+    else:
+        ev = np.asarray(spec, dtype=float)
+        gaps = ev - ev.min()
+
+        def logz(la: float) -> float:
+            return float(logsumexp(-ev / la))
+
+        def entropy(la: float) -> float:
+            # S = ln Z - <x> with x = -(E - E_0) / lambda
+            x = -gaps / la
+            lz = logsumexp(x)
+            return float(lz - np.exp(x - lz) @ x)
+
+    if lam is not None:
+        if lam <= 0.0:
+            raise ValueError("lambda_t must be positive")
+        return lam * c_nats - lam * logz(lam), lam
+
+    def objective(la: float) -> tuple[float, float]:
+        return la * c_nats - la * logz(la), c_nats - entropy(la)
+
+    lam_star, val = golden_section_max(objective, lo, hi)
+    return val, lam_star
 
 
 def info_bound(h, n: int, p: float, depth: int,
@@ -168,35 +206,13 @@ def info_bound(h, n: int, p: float, depth: int,
         raise ValueError("lambda_c must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    logz = _log_partition_fn(h, n)
     s_nats = LN2 * (n - n * (1.0 - p) ** depth)
-
-    def objective(lam: float) -> float:
-        return lam * s_nats - lam * logz(lam)
-
-    lam_star, val = golden_section_max(objective, lambda_c, lambda_max)
+    val, lam_star = free_energy_term(_spectrum(h, n), s_nats, lo=lambda_c,
+                                     hi=lambda_max)
     return BoundReport(
         method="info_only", n_sites=n, depth=depth, resource=0, p=float(p),
         theta=0.0, seed=0, bound=val, boundary_term=val, penalty_sum=0.0,
         extra={"lambda_star": lam_star, "lambda_c": lambda_c})
-
-
-def _step_term_dense(h_dense: np.ndarray, c_nats: float,
-                     lam: float | None) -> tuple[float, float]:
-    """max_lambda [G(H_t, lambda) + lambda * c] (or its value at a fixed
-    lambda); returns (term, lambda used)."""
-    hh = 0.5 * (h_dense + h_dense.conj().T)
-    ev = np.linalg.eigvalsh(hh)
-
-    def objective(la: float) -> float:
-        return float(-la * logsumexp(-ev / la) + la * c_nats)
-
-    if lam is not None:
-        if lam <= 0.0:
-            raise ValueError("lambda_t must be positive")
-        return objective(lam), lam
-    lam_star, val = golden_section_max(objective, 1e-8, 1e9)
-    return val, lam_star
 
 
 def dual_value_info_dense(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
@@ -226,7 +242,7 @@ def dual_value_info_dense(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
     for t, h_mpo in enumerate(hs):
         c_nats = LN2 * (n - float(schedule.values[t]))
         lam = None if lambdas is None else lambdas[t]
-        term, _ = _step_term_dense(h_mpo.to_dense(), c_nats, lam)
+        term, _ = free_energy_term(_spectrum(h_mpo, n), c_nats, lam)
         terms.append(term)
     terms = np.array(terms)
     return DualValue(boundary + float(np.sum(terms)), boundary, -terms)

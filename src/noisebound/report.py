@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -20,9 +19,9 @@ from typing import Iterable
 CSV_COLUMNS = ("method", "N", "d", "D_or_r", "p", "theta", "seed",
                "bound", "boundary_term", "penalty_sum", "wall_time_s")
 
-METHODS = ("trace_dual", "tebd_error", "info_dual", "info_only",
-           "purity_only", "nonunital_dual", "architecture_free",
-           "fermion_dual", "exact")
+# every method a sweep can emit
+METHODS = ("trace_dual", "tebd_error", "info_only", "purity_only",
+           "nonunital_dual", "fermion_dual")
 
 
 @dataclass
@@ -92,17 +91,3 @@ def config_digest(config: dict) -> str:
                       default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
-
-def format_report_text(reports: list[BoundReport], digest: str = "") -> str:
-    """Human-readable summary block for a batch of reports."""
-    buf = io.StringIO()
-    if digest:
-        buf.write(f"# config {digest}\n")
-    buf.write(f"# {len(reports)} records\n")
-    for r in reports:
-        buf.write(f"{r.method:>18s}  N={r.n_sites:<4d} d={r.depth:<4d} "
-                  f"D/r={r.resource:<4d} p={r.p:<6g} theta={r.theta:<6g} "
-                  f"seed={r.seed:<6d} bound={r.bound: .10f}  "
-                  f"(boundary {r.boundary_term: .6f}, penalties "
-                  f"{r.penalty_sum: .6f})\n")
-    return buf.getvalue()

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import circuits, exact, fermion, info_dual, trace_dual
 from .config import _MPO_METHODS, ExperimentConfig
-from .mpo import MPO
+from .mpo import _DENSE_SITE_CAP, MPO
 from .noise import (NoiseModel, biased_tau, depolarizing, info_schedule,
                     max_replacement_fraction, purity_schedule,
                     relative_entropy_schedule, relent_product_state,
@@ -114,12 +114,11 @@ def _target_spectrum(cfg: ExperimentConfig, target) -> np.ndarray:
     if modes is not None:
         return modes.spectrum()
     if isinstance(target, MPO):
-        if target.n_sites > 12:
+        if target.n_sites > _DENSE_SITE_CAP:
             raise ValueError(
                 "purity_only needs the target spectrum; not available for "
                 f"this family at n = {target.n_sites}")
-        mat = target.to_dense()
-        return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+        return info_dual._spectrum(target, target.n_sites)
     raise ValueError("no spectrum access for this target")
 
 

@@ -191,10 +191,8 @@ def tebd_error_bound(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
     Heisenberg TEBD error accounting would give without any noise
     information.
     """
-    sigmas, norms = _defect_norms(circuit, dual, target)
-    boundary = boundary_term(circuit, sigmas[0])
-    penalties = norms.astype(float).copy()
-    return DualValue(boundary - float(np.sum(penalties)), boundary, penalties)
+    return dual_value_trace(circuit, dual, target,
+                            BoundSchedule("purity", np.ones(circuit.depth)))
 
 
 def dual_value_nonunital(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",

@@ -7,6 +7,8 @@ then checked for soundness and its analytic gradient against finite
 differences.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -50,7 +52,7 @@ from noisebound.fermion import (
     two_level_modes,
     vacuum_covariance,
 )
-from noisebound.info_dual import info_bound
+from noisebound.info_dual import LN2, info_bound
 from noisebound.noise import info_schedule
 
 
@@ -406,6 +408,24 @@ def test_fermion_mirror_noiseless():
     assert abs(energy2) < 1e-9
 
 
+def generator_digest(circ: FermionCircuit) -> str:
+    h = hashlib.sha256()
+    for layer in circ.layers:
+        h.update(np.ascontiguousarray(layer.generator.matrix).tobytes())
+    return h.hexdigest()
+
+
+def test_brickwall_generators_pinned():
+    """Layer generators are bitwise those of the bond groups the fermion
+    module used to build itself (sha256 of every generator matrix)."""
+    circ1, _ = fermion_brickwall_1d(9, 6, 0.05, 3)
+    assert generator_digest(circ1) == (
+        "7e37a7109c2ce88b649852fbf044ac61f39da45bb319e81df4748e1e08084c7c")
+    circ2, _ = fermion_brickwall_2d(3, 4, 10, 0.05, 5)
+    assert generator_digest(circ2) == (
+        "47240a87da8e5dd0bdd0cff0cdf61124616bc79a6258e49e1f9bd0cc4e00b84a")
+
+
 def test_fermion_circuit_determinism_and_parity():
     a, _ = fermion_brickwall_1d(6, 4, 0.1, 30)
     b, _ = fermion_brickwall_1d(6, 4, 0.1, 30)
@@ -519,6 +539,23 @@ def test_fixed_dual_value_pinned_at_scale():
     s_list = default_fermion_initial_duals(circ, target, 1, circ.meta["coords"])
     got = fermionic_dual_value(s_list, circ, target, sched).bound
     assert abs(got - (-0.15906885933480863)) < 1e-9
+
+
+def test_lambda_search_stable_under_rescale():
+    """A one-ulp rescale of every seed defect moves each searched lambda_t
+    by at most 1e-12 relative: the search solves S(lambda) = c instead of
+    comparing objective values in a flat region."""
+    from noisebound.fermion import _defect_ops, _step_term_fermion
+    n, depth, p = 12, 8, 0.05
+    circ, target = fermion_brickwall_1d(n, depth, p, 97)
+    sched = info_schedule(n, depth, p)
+    s_list = default_fermion_initial_duals(circ, target, 1, circ.meta["coords"])
+    for t, ht in enumerate(_defect_ops(s_list, circ, target)):
+        c_nats = LN2 * (n - float(sched.values[t]))
+        _, lam, _ = _step_term_fermion(ht, c_nats, None)
+        _, lam_scaled, _ = _step_term_fermion(ht.scaled(1.0 + 3e-16), c_nats,
+                                              None)
+        assert abs(lam_scaled - lam) <= 1e-12 * lam
 
 
 def test_dual_value_sound_random_duals():

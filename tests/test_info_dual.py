@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from noisebound.circuits import brickwall_1d
 from noisebound.exact import dense_simulate
@@ -19,6 +20,7 @@ from noisebound.info_dual import (
     TwoLevelModes,
     chain_benchmark_modes,
     dual_value_info_dense,
+    free_energy_term,
     gibbs_free_energy_dense,
     golden_section_max,
     info_bound,
@@ -29,25 +31,92 @@ from noisebound.trace_dual import heisenberg_tebd
 
 
 # ---------------------------------------------------------------------------
-# golden-section search
+# concave search on (value, slope)
 
 
 def test_golden_section_known_maximum():
-    x, v = golden_section_max(lambda x: -(math.log(x) - 1.0) ** 2, 1e-3, 1e3)
+    x, v = golden_section_max(
+        lambda x: (-(math.log(x) - 1.0) ** 2, -2.0 * (math.log(x) - 1.0) / x),
+        1e-3, 1e3)
     assert abs(x - math.e) < 1e-6 * math.e
     assert abs(v) < 1e-12
 
 
 def test_golden_section_boundary_maximum():
     # strictly increasing: the right endpoint must win
-    x, v = golden_section_max(lambda x: math.log(x), 0.5, 20.0)
+    x, v = golden_section_max(lambda x: (math.log(x), 1.0 / x), 0.5, 20.0)
     assert x == pytest.approx(20.0)
     assert v == pytest.approx(math.log(20.0))
 
 
+def test_golden_section_decreasing_returns_lo():
+    x, v = golden_section_max(lambda x: (-x, -1.0), 0.5, 20.0)
+    assert x == 0.5
+    assert v == -0.5
+
+
 def test_golden_section_validates_interval():
     with pytest.raises(ValueError):
-        golden_section_max(lambda x: x, -1.0, 2.0)
+        golden_section_max(lambda x: (x, 1.0), -1.0, 2.0)
+
+
+def random_spectra(seed: int):
+    """Random two-level mode descriptors (some with zero gaps) and random
+    dense spectra (some with a degenerate ground level)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in (1, 3, 8):
+        gaps = rng.uniform(0.0, 2.0, size=k)
+        gaps[rng.random(k) < 0.3] = 0.0
+        out.append(TwoLevelModes(gaps, rng.normal()))
+    for dim in (2, 7, 32):
+        ev = rng.normal(size=dim)
+        ev[: dim // 4] = ev.min()
+        out.append(ev)
+    return out
+
+
+def max_entropy(spec) -> float:
+    if isinstance(spec, TwoLevelModes):
+        return spec.n_modes * LN2
+    return math.log(np.asarray(spec).size)
+
+
+def grid_log_partition(spec, lams: np.ndarray) -> np.ndarray:
+    """ln Z at every lambda of a grid, by direct vectorized sums."""
+    if isinstance(spec, TwoLevelModes):
+        return (-spec.offset / lams
+                + np.log1p(np.exp(-spec.gaps[None, :] / lams[:, None])).sum(1))
+    return logsumexp(-np.asarray(spec)[None, :] / lams[:, None], axis=1)
+
+
+def test_free_energy_term_beats_log_grid():
+    """The searched term is at least the objective's maximum over a
+    2,001-point log grid of [1e-8, 1e9], for caps below, inside and above
+    the entropy range."""
+    grid = np.logspace(-8.0, 9.0, 2001)
+    for spec in random_spectra(3):
+        logz = grid_log_partition(spec, grid)
+        for frac in (-0.1, 0.05, 0.5, 0.97, 1.2):
+            c = frac * max_entropy(spec)
+            term, lam = free_energy_term(spec, c)
+            assert 1e-8 <= lam <= 1e9
+            assert term == free_energy_term(spec, c, lam)[0]
+            best = float(np.max(grid * c - grid * logz))
+            assert term >= best - 1e-12 * max(1.0, abs(best))
+
+
+def test_two_level_entropy_matches_dense_spectrum():
+    modes = TwoLevelModes(np.array([0.0, 0.3, 1.1, 2.0]), 0.7)
+    ev = modes.spectrum()
+    a = free_energy_term(modes, 0.8 * 4 * LN2)
+    b = free_energy_term(ev, 0.8 * 4 * LN2)
+    assert abs(a[0] - b[0]) < 1e-12
+    assert abs(a[1] - b[1]) < 1e-9 * a[1]
+    for lam in (1e-3, 0.2, 1.0, 40.0):
+        w = np.exp(-(ev - ev.min()) / lam)
+        w = w[w > 0.0] / w.sum()
+        assert abs(modes.entropy(lam) - float(-w @ np.log(w))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +265,21 @@ def test_info_dual_sound_for_random_duals(seed):
     sigmas = [random_mpo(n, 2, rng, hermitian=True) for _ in range(d)]
     val = dual_value_info_dense(circ, sigmas, target, info_schedule(n, d, p))
     assert val.bound <= energy + 1e-8
+
+
+def test_info_dual_sound_to_roundoff():
+    """Searched and fixed lambdas, exact and truncated duals: the dense
+    information dual never exceeds the dense output energy by more than
+    roundoff."""
+    for n, d, p, seed in ((3, 3, 0.1, 41), (4, 5, 0.05, 42), (4, 3, 0.3, 43)):
+        circ, target = brickwall_1d(n, d, 0.3, p, seed)
+        energy = dense_simulate(circ, hamiltonian=target).energy
+        sched = info_schedule(n, d, p)
+        for bond in (1, 2, 4**n):
+            dual = heisenberg_tebd(circ, target, max_bond=bond)
+            for lambdas in (None, [0.5] * d):
+                val = dual_value_info_dense(circ, dual, target, sched, lambdas)
+                assert val.bound <= energy + 1e-12
 
 
 def test_info_dual_fixed_lambdas_never_beat_optimized():

@@ -22,7 +22,6 @@ from noisebound.report import (
     CSV_COLUMNS,
     BoundReport,
     config_digest,
-    format_report_text,
     read_csv,
     write_csv,
 )
@@ -84,11 +83,11 @@ def test_report_rejects_inconsistent_split():
 
 
 def test_csv_row_formats():
-    rep = BoundReport("exact", 4, 5, 0, 0.1, 0.25, 11, bound=0.123456789,
+    rep = BoundReport("info_only", 4, 5, 0, 0.1, 0.25, 11, bound=0.123456789,
                       boundary_term=0.123456789, penalty_sum=0.0,
                       wall_time_s=1.5)
     row = rep.csv_row()
-    assert row[0] == "exact"
+    assert row[0] == "info_only"
     assert float(row[7]) == 0.123456789
     assert row[-1] == "0.000"                 # timings masked by default
     assert rep.csv_row(timings=True)[-1] == "1.500"
@@ -119,13 +118,6 @@ def test_config_digest_stable():
     b = config_digest({"y": [2, 3], "x": 1})
     assert a == b and len(a) == 12
     assert config_digest({"x": 2, "y": [2, 3]}) != a
-
-
-def test_format_report_text():
-    rep = BoundReport("trace_dual", 3, 1, 4, 0.0, 0.0, 0, bound=0.25,
-                      boundary_term=0.25)
-    txt = format_report_text([rep], digest="abc")
-    assert "config abc" in txt and "trace_dual" in txt and "0.25" in txt
 
 
 # ---------------------------------------------------------------------------
