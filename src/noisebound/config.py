@@ -8,6 +8,7 @@ path of the offending entry.  parse -> serialize -> parse is the identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -51,6 +52,11 @@ class ExperimentConfig:
     timings: bool = False
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (YAML's true is an int to Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _listify(value, path: str, kind, positive=False, allow_zero=True) -> list:
     if value is None:
         raise ConfigError(path, "missing required field")
@@ -61,6 +67,8 @@ def _listify(value, path: str, kind, positive=False, allow_zero=True) -> list:
     for i, item in enumerate(items):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ConfigError(f"{path}[{i}]", f"expected {kind.__name__}, got {item!r}")
+        if not math.isfinite(item):
+            raise ConfigError(f"{path}[{i}]", f"must be finite, got {item!r}")
         if kind is int and not float(item).is_integer():
             raise ConfigError(f"{path}[{i}]", f"expected integer, got {item!r}")
         val = kind(item)
@@ -94,19 +102,21 @@ def parse_config(text: str) -> ExperimentConfig:
     if family in ("brickwall_2d", "fermion_2d"):
         lattice = circuit.get("lattice")
         if (not isinstance(lattice, list) or len(lattice) != 2
-                or not all(isinstance(v, int) and v >= 1 for v in lattice)):
+                or not all(_is_int(v) and v >= 1 for v in lattice)):
             raise ConfigError("circuit.lattice", "need [lx, ly] with positive ints")
         n = lattice[0] * lattice[1]
-        if "n" in circuit and circuit["n"] != n:
+        if "n" in circuit and (not _is_int(circuit["n"]) or circuit["n"] != n):
             raise ConfigError("circuit.n", f"inconsistent with lattice ({n})")
     else:
         n_raw = circuit.get("n")
+        if n_raw is not None and not _is_int(n_raw):
+            raise ConfigError("circuit.n", f"must be an integer, got {n_raw!r}")
         if family == "single_qubit":
             n = 1 if n_raw is None else n_raw
             if n != 1:
                 raise ConfigError("circuit.n", "single_qubit circuits have n=1")
         else:
-            if not isinstance(n_raw, int) or n_raw < 1:
+            if n_raw is None or n_raw < 1:
                 raise ConfigError("circuit.n", "must be a positive integer")
             n = n_raw
 
@@ -179,8 +189,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("ansatz.radii", "required by fermion_dual")
 
     seed = raw.get("seed")
-    if isinstance(seed, bool) or not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("seed", "mandatory integer")
+    if seed < 0:
+        raise ConfigError("seed", f"must be non-negative, got {seed}")
     output = raw.get("output")
     if not isinstance(output, str) or not output:
         raise ConfigError("output", "mandatory non-empty string")

@@ -29,6 +29,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
+from ._blas import blas_threads
 from .circuits import _even_bonds, _lattice_edges, _odd_bonds
 # golden_section_max is imported only so that bench/tracer.py can probe it
 from .info_dual import (LN2, TwoLevelModes, free_energy_term,  # noqa: F401
@@ -56,26 +57,44 @@ class QuadraticOp:
         if np.abs(m + m.T).max() > 1e-10 * scale:
             raise ValueError("matrix must be antisymmetric")
         # snap out roundoff so antisymmetry survives long pipelines
-        self.matrix = 0.5 * (m - m.T)
+        self.matrix = _snap(m)
         self.constant = float(self.constant)
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray, constant: float = 0.0) -> "QuadraticOp":
+        """Internal constructor with no check and no snap, for a float
+        matrix already equal to its own snap bit for bit (each entry the
+        exact negative of its mirror, zeros signed as the snap leaves them)."""
+        op = object.__new__(cls)
+        op.matrix = matrix
+        op.constant = float(constant)
+        return op
 
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
 
+    # sums and differences of snapped matrices are snapped: fl(-a - b) is
+    # exactly -fl(a + b), and no (-0, -0) pair of mirror entries can arise.
+    # Negation and scaling can create such pairs, so they snap.
     def __add__(self, other: "QuadraticOp") -> "QuadraticOp":
-        return QuadraticOp(self.matrix + other.matrix,
-                           self.constant + other.constant)
+        return QuadraticOp._trusted(self.matrix + other.matrix,
+                                    self.constant + other.constant)
 
     def __sub__(self, other: "QuadraticOp") -> "QuadraticOp":
-        return QuadraticOp(self.matrix - other.matrix,
-                           self.constant - other.constant)
+        return QuadraticOp._trusted(self.matrix - other.matrix,
+                                    self.constant - other.constant)
 
     def __neg__(self) -> "QuadraticOp":
-        return QuadraticOp(-self.matrix, -self.constant)
+        return QuadraticOp._trusted(_snap(-self.matrix), -self.constant)
 
     def scaled(self, a: float) -> "QuadraticOp":
-        return QuadraticOp(a * self.matrix, a * self.constant)
+        return QuadraticOp._trusted(_snap(a * self.matrix), a * self.constant)
+
+
+def _snap(m: np.ndarray) -> np.ndarray:
+    """The antisymmetric part (m - m^T)/2."""
+    return 0.5 * (m - m.T)
 
 
 def quadratic_zero(n: int) -> QuadraticOp:
@@ -413,7 +432,8 @@ def heisenberg_quadratic_step(op: QuadraticOp, layer: FermionLayer) -> Quadratic
     if layer.p > 0.0:
         s = s * _noise_multiplier(n, layer.p, layer.sites(n))
     r = layer.orthogonal_map()
-    return QuadraticOp(r.T @ s @ r, op.constant)
+    # antisymmetric only up to roundoff, so snapped
+    return QuadraticOp._trusted(_snap(r.T @ s @ r), op.constant)
 
 
 def project_local(op: QuadraticOp, radius: int | None,
@@ -427,7 +447,7 @@ def project_local(op: QuadraticOp, radius: int | None,
     if radius is None:
         return op
     mask = locality_mask(op.n_modes, radius, coords)
-    return QuadraticOp(np.where(mask, op.matrix, 0.0), op.constant)
+    return QuadraticOp._trusted(np.where(mask, op.matrix, 0.0), op.constant)
 
 
 def locality_mask(n: int, radius: int,
@@ -629,7 +649,7 @@ def _unpack(theta: np.ndarray, consts: list[float], n: int,
         vals = theta[t * k:(t + 1) * k]
         m[rows, cols] = vals
         m[cols, rows] = -vals
-        out.append(QuadraticOp(m, const))
+        out.append(QuadraticOp._trusted(m, const))
     return out
 
 
@@ -702,9 +722,12 @@ def optimize_fermionic_dual(circuit: FermionCircuit, target: QuadraticOp,
         return -value.bound, -grad
 
     if x0.size:
-        scipy.optimize.minimize(
-            negative_with_grad, x0, jac=True, method="L-BFGS-B",
-            options={"maxiter": maxiter, "gtol": gtol})
+        # scipy's BLAS here is L-BFGS-B's level-1 work, which gains nothing
+        # from threads; its pool would only contend with numpy's
+        with blas_threads(scipy=1):
+            scipy.optimize.minimize(
+                negative_with_grad, x0, jac=True, method="L-BFGS-B",
+                options={"maxiter": maxiter, "gtol": gtol})
     else:
         negative_with_grad(x0)
     s_best = _unpack(best["x"], consts, n, rows, cols)

@@ -3,7 +3,8 @@
 A grid point is one (depth, theta, p) combination; each point yields one
 CSV row per requested method (and per ansatz resource for methods that use
 one).  Points run concurrently with a bounded worker count taken from the
-``NOISEBOUND_WORKERS`` environment variable, results are flushed to the
+``NOISEBOUND_WORKERS`` environment variable (each worker lowers its BLAS
+thread counts to its share of the cores), results are flushed to the
 output file as they complete, and the final file is rewritten in a sorted,
 deterministic order.  Per-point RNG streams are keyed by (master seed,
 point index) so results are independent of execution order.
@@ -20,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import circuits, exact, fermion, info_dual, trace_dual
+from ._blas import limit_threads
 from .config import _MPO_METHODS, ExperimentConfig
 from .mpo import _DENSE_SITE_CAP, MPO
 from .noise import (NoiseModel, biased_tau, depolarizing, info_schedule,
@@ -242,7 +244,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None
             for pt in pts:
                 _collect(cfg, pt, run_point_safe(cfg, pt), reports, failures, fh)
         else:
-            with concurrent.futures.ProcessPoolExecutor(nworkers) as pool:
+            with _pool(nworkers) as pool:
                 futures = {pool.submit(run_point_safe, cfg, pt): pt for pt in pts}
                 for fut in concurrent.futures.as_completed(futures):
                     _collect(cfg, futures[fut], fut.result(), reports, failures, fh)
@@ -253,6 +255,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None
         with open(cfg.output + ".failures.txt", "w", encoding="utf-8") as fh:
             fh.write("\n".join(failures) + "\n")
     return reports, failures
+
+
+def _pool(nworkers: int) -> concurrent.futures.ProcessPoolExecutor:
+    """A process pool whose workers share the cores: each worker lowers its
+    BLAS thread counts to cores // workers (at least 1)."""
+    share = max(1, (os.cpu_count() or 1) // nworkers)
+    return concurrent.futures.ProcessPoolExecutor(
+        nworkers, initializer=limit_threads, initargs=(share, share))
 
 
 def run_point_safe(cfg: ExperimentConfig, pt: GridPoint):

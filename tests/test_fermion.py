@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from noisebound import fermion
 from noisebound.exact import (
     fermion_depolarizing_kraus,
     jordan_wigner_majoranas,
@@ -106,6 +107,45 @@ def test_quadratic_op_arithmetic():
     neg = -a
     assert np.abs(neg.matrix + a.matrix).max() == 0.0
     assert neg.constant == pytest.approx(-0.2)
+
+
+def snapped_with_signed_zeros(n2: int, rng) -> np.ndarray:
+    """A checked, snapped matrix whose zero entries carry both signs."""
+    keep = rng.random((n2, n2)) < 0.5
+    m = random_antisym(n2, rng) * (keep & keep.T)
+    m = np.where(m == 0.0, np.where(rng.random((n2, n2)) < 0.5, 0.0, -0.0), m)
+    return QuadraticOp(m).matrix
+
+
+def test_trusted_hot_path_matches_checking_constructor_bitwise():
+    """Every hot-path result is, bit for bit (signed zeros included), what
+    the checking constructor would have made of the same matrix."""
+    rng = np.random.default_rng(3)
+    n = 4
+    a = QuadraticOp(snapped_with_signed_zeros(2 * n, rng), 0.3)
+    b = QuadraticOp(snapped_with_signed_zeros(2 * n, rng), -0.1)
+
+    def same(got, matrix):
+        assert got.matrix.tobytes() == QuadraticOp(matrix).matrix.tobytes()
+
+    same(a + b, a.matrix + b.matrix)
+    same(a - b, a.matrix - b.matrix)
+    same(-a, -a.matrix)
+    for f in (0.7, -0.7, 0.0):
+        same(a.scaled(f), f * a.matrix)
+    mask = locality_mask(n, 1)
+    same(project_local(a, 1), np.where(mask, a.matrix, 0.0))
+    layer = FermionLayer(random_op(n, 4), 0.2, (0, 2))
+    r = layer.orthogonal_map()
+    noisy = a.matrix * fermion._noise_multiplier(n, 0.2, (0, 2))
+    same(heisenberg_quadratic_step(a, layer), r.T @ noisy @ r)
+    rows, cols = np.where(np.triu(mask, k=1))
+    theta = np.where(rng.random(rows.size) < 0.3, 0.0, rng.normal(size=rows.size))
+    theta[:3] = -0.0
+    got = fermion._unpack(theta, [0.5], n, rows, cols)[0]
+    m = np.zeros((2 * n, 2 * n))
+    m[rows, cols], m[cols, rows] = theta, -theta
+    same(got, m)
 
 
 def test_hopping_to_majorana_vs_fock():

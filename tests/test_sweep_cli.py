@@ -167,6 +167,19 @@ def test_config_errors_carry_field_paths(tmp_path, mutate, field):
     assert err.value.path == field
 
 
+@pytest.mark.parametrize("old,new,field", [
+    ("seed: 7", "seed: -1", "seed"),
+    ("theta: [0.1]", "theta: [.nan]", "circuit.theta[0]"),
+    ("p: [0.0, 0.1]", "p: [0.0, .inf]", "noise.p[1]"),
+    ("n: 3", "n: true", "circuit.n"),
+], ids=["negative-seed", "nan-theta", "inf-p", "bool-n"])
+def test_config_rejects_bad_values(tmp_path, old, new, field):
+    text = BASE_YAML.replace(old, new).replace("OUTPUT", str(tmp_path / "o.csv"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.path == field
+
+
 def test_config_nonunital_compatibility(tmp_path):
     text = BASE_YAML.replace("model: depolarizing", "model: nonunital")
     with pytest.raises(ConfigError) as err:
