@@ -67,7 +67,7 @@ def _listify(value, path: str, kind, positive=False, allow_zero=True) -> list:
     for i, item in enumerate(items):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ConfigError(f"{path}[{i}]", f"expected {kind.__name__}, got {item!r}")
-        if not math.isfinite(item):
+        if isinstance(item, float) and not math.isfinite(item):
             raise ConfigError(f"{path}[{i}]", f"must be finite, got {item!r}")
         if kind is int and not float(item).is_integer():
             raise ConfigError(f"{path}[{i}]", f"expected integer, got {item!r}")
