@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -85,7 +85,7 @@ def cmd_run(path: str, workers: int | None, force_oracle: bool) -> int:
         print(f"FAILED {line}", file=sys.stderr)
     code = 3 if failures else 0
     if cfg.oracle or force_oracle:
-        problems = oracle_check(cfg)
+        problems = oracle_check(cfg, reports)
         for line in problems:
             print(f"ORACLE {line}", file=sys.stderr)
         if problems:
@@ -106,21 +106,38 @@ def cmd_oracle_check(path: str) -> int:
     return 0
 
 
-def oracle_check(cfg) -> list[str]:
-    """Recompute every grid point and verify each claimed lower bound
-    against the exact output energy (dense for qubit circuits, covariance
-    for Gaussian ones).  Returns a list of violation descriptions."""
+def oracle_check(cfg, reports=None) -> list[str]:
+    """Verify each claimed lower bound against the exact output energy of
+    its grid point (dense for qubit circuits, covariance for Gaussian ones).
+    Returns a list of violation descriptions.
+
+    ``reports`` are the rows a run returned, matched to their grid point on
+    (depth, theta, p); a point without rows failed and is not re-run.  With
+    no reports, or for a (depth, theta, p) that the grid repeats, the
+    point's bounds are computed here."""
     if cfg.n > _DENSE_SITE_CAP:
         raise ValueError(f"oracle cross-check needs n <= {_DENSE_SITE_CAP}, "
                          f"got n = {cfg.n}")
+    points = sweep.expand_grid(cfg)
+    repeats = Counter((pt.depth, pt.theta, pt.p) for pt in points)
+    rows = defaultdict(list)
+    for rep in reports or ():
+        rows[(rep.depth, rep.theta, rep.p)].append(rep)
     problems: list[str] = []
-    for pt in sweep.expand_grid(cfg):
+    for pt in points:
+        key = (pt.depth, pt.theta, pt.p)
+        if reports is None or repeats[key] > 1:
+            point_rows = sweep.run_point(cfg, pt)
+        elif rows[key]:
+            point_rows = rows[key]
+        else:
+            continue
         circuit, target, _ = sweep.build_circuit(cfg, pt)
         if isinstance(target, MPO):
             energy = exact.dense_simulate(circuit, hamiltonian=target).energy
         else:
             _, energy = fermion.simulate_covariance(circuit, target)
-        for rep in sweep.run_point(cfg, pt):
+        for rep in point_rows:
             if rep.bound > energy + _ORACLE_TOL:
                 problems.append(
                     f"point d={pt.depth} theta={pt.theta} p={pt.p} "

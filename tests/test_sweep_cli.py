@@ -399,3 +399,45 @@ def test_cli_run_oracle_flag(tmp_path, capsys):
     path, _ = write_config(tmp_path, BASE_YAML)
     assert cli.main(["run", path, "--oracle"]) == 0
     assert "oracle cross-check passed" in capsys.readouterr().out
+
+
+def test_run_oracle_checks_written_rows_without_rerun(tmp_path, monkeypatch, capsys):
+    """`run --oracle` checks the rows the run returned: one run_point call
+    per grid point, and a failed point is reported once, as a failure."""
+    path, _ = write_config(tmp_path, BASE_YAML)
+    real = sweep.run_point
+    calls = []
+
+    def counted(cfg_, pt):
+        calls.append(pt.index)
+        if pt.index == 1:
+            raise RuntimeError("dead point")
+        return real(cfg_, pt)
+
+    monkeypatch.setattr(sweep, "run_point", counted)
+    assert cli.main(["run", path, "--oracle"]) == 3
+    assert sorted(calls) == [0, 1, 2, 3]
+    err = capsys.readouterr().err
+    assert err.count("dead point") == 1
+    assert "ORACLE" not in err
+
+
+def test_run_oracle_flags_a_planted_bound(tmp_path, monkeypatch, capsys):
+    """A written row above its point's exact energy is still flagged."""
+    path, _ = write_config(tmp_path, BASE_YAML)
+    real = sweep.run_point
+
+    def planted(cfg_, pt):
+        rows = real(cfg_, pt)
+        if pt.index == 2:
+            rows[0] = BoundReport(
+                method=rows[0].method, n_sites=rows[0].n_sites, depth=pt.depth,
+                resource=rows[0].resource, p=pt.p, theta=pt.theta,
+                seed=rows[0].seed, bound=1.5, boundary_term=1.5)
+        return rows
+
+    monkeypatch.setattr(sweep, "run_point", planted)
+    assert cli.main(["run", path, "--oracle"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("ORACLE") == 1
+    assert "bound 1.5 exceeds exact energy" in err
