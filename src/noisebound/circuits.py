@@ -192,7 +192,7 @@ def single_qubit_circuit(theta: float, p: float, delta: float = 1.0
     circ = CircuitSpec(1, [layer], meta={
         "family": "single_qubit", "theta": float(theta), "p": float(p),
         "delta": float(delta)})
-    target = MPO([(delta * PAULI["Z"]).reshape(1, 2, 2, 1)], hermitian=True)
+    target = from_pauli_sum([("Z", float(delta))])
     return circ, target
 
 
@@ -246,7 +246,6 @@ def brickwall_1d(n: int, depth: int, theta: float, p: float, seed: int,
     target = sum_local_mpo([-PAULI["Z"] / (2.0 * n)] * n, constant=0.5)
     for g in u_h.gates:
         target = apply_gate(target, g.matrix, g.sites)
-    target.hermitian = True
     return circ, target
 
 
@@ -320,13 +319,12 @@ def brickwall_2d_snake(lx: int, ly: int, depth: int, theta: float, p: float,
     return circ, target
 
 
-def from_pauli_sum_compressed(terms: list[tuple[str, complex]], n: int) -> MPO:
+def from_pauli_sum_compressed(terms: list[tuple[str, float]], n: int) -> MPO:
     """Pauli-sum MPO compressed to its exact numerical rank."""
     raw = from_pauli_sum(terms, n)
     out, err = compress(raw, max_bond=max(len(terms), 1))
     if err > 1e-12:
         raise RuntimeError("exact-rank compression lost weight unexpectedly")
-    out.hermitian = raw.hermitian
     return out
 
 

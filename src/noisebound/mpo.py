@@ -1,17 +1,26 @@
-"""Matrix-product operators on spin-1/2 chains.
+"""Hermitian matrix-product operators on spin-1/2 chains, in the Pauli basis.
 
-Site tensors have shape ``(Dl, 2, 2, Dr)`` with index order (left bond,
-physical row, physical column, right bond).  An MPO is treated as an MPS
-with a fused dimension-4 physical leg wherever a 2-norm is needed, so the
-Hilbert-Schmidt inner product, Frobenius norm and SVD compression are the
-standard MPS operations.
+An operator A = sum_a c_{a_1 .. a_n} B_{a_1} x ... x B_{a_n} is stored by
+its coefficients over the orthonormal basis B_a = P_a / sqrt(2) with
+P = (I, X, Y, Z): site tensors are real arrays of shape ``(Dl, 4, Dr)``
+with index order (left bond, Pauli index, right bond).  Every B_a is
+Hermitian, so an operator is Hermitian exactly when its coefficients are
+real, and the constructor rejects complex tensors: every MPO is Hermitian
+by construction.  The basis is orthonormal under Tr(A B), so the
+Hilbert-Schmidt inner product, the Frobenius norm and SVD compression are
+the standard real MPS operations (the Pauli-basis operator MPS of
+Rakovszky, von Keyserlingk & Pollmann, PRB 105, 075131 (2022)).  Dense
+matrices, local operators and product states are converted only at the
+edges: :meth:`MPO.to_dense`, the constructors and
+:func:`expectation_product_state`.
 
-Gate adjoints are exact up to a relative floor: a two-site gate is applied
-through its operator-Schmidt factors, dropping only factors below
-``SVAL_FLOOR``, except where that would exceed the bond of an SVD split
-(chain ends, rank-4 gates such as SWAP), whose re-split drops singular
-values below the floor without reporting them.  Truncation to a bond cap
-happens only in :func:`compress`, which returns the exact discarded norm.
+Gates and channels act through real Pauli transfer matrices (PTMs),
+R[a, b] = Tr(B_a E^dag(B_b)).  A two-site gate's 16x16 PTM is split once
+into real factor pairs, dropping only factors below ``SVAL_FLOOR``, except
+where that would exceed the bond of an SVD split (chain ends, rank-4 gates
+such as SWAP), whose re-split drops singular values below the floor
+without reporting them.  Truncation to a bond cap happens only in
+:func:`compress`, which returns the exact discarded norm.
 
 All operations are functional: inputs are never mutated.
 """
@@ -19,7 +28,7 @@ All operations are functional: inputs are never mutated.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,24 +54,29 @@ SWAP = np.array(
 
 _DENSE_SITE_CAP = 12
 
+_SQRT2 = np.sqrt(2.0)
+# _BASIS[a] = B_a = P_a / sqrt(2); _BASIS2[(a1, a2)] = B_a1 x B_a2
+_BASIS = np.stack([PAULI[ch] for ch in "IXYZ"]) / _SQRT2
+_BASIS2 = np.einsum("aij,bkl->abikjl", _BASIS, _BASIS).reshape(16, 4, 4)
+# coefficients of the 2x2 identity, sqrt(2) B_I
+_ID_COEFFS = np.array([_SQRT2, 0.0, 0.0, 0.0])
+
 
 @dataclass
 class MPO:
-    """An operator on ``n`` qubits in matrix-product form.
-
-    ``hermitian`` is advisory: it records that the operator is Hermitian up
-    to ~1e-10 and is asserted where it matters (expectation values).
-    """
+    """A Hermitian operator on ``n`` qubits in Pauli-basis matrix-product
+    form; ``tensors[k]`` is real with shape ``(Dl, 4, Dr)``."""
 
     tensors: list[Array]
-    hermitian: bool = False
 
     def __post_init__(self):
         if not self.tensors:
             raise ValueError("MPO needs at least one site tensor")
         for k, t in enumerate(self.tensors):
-            if t.ndim != 4 or t.shape[1:3] != (2, 2):
-                raise ValueError(f"site {k}: expected shape (Dl, 2, 2, Dr), got {t.shape}")
+            if np.iscomplexobj(t):
+                raise ValueError(f"site {k}: Pauli-basis tensors must be real")
+            if t.ndim != 3 or t.shape[1] != 4:
+                raise ValueError(f"site {k}: expected shape (Dl, 4, Dr), got {t.shape}")
         if self.tensors[0].shape[0] != 1 or self.tensors[-1].shape[-1] != 1:
             raise ValueError("boundary bonds must have dimension 1")
         for k in range(len(self.tensors) - 1):
@@ -79,15 +93,18 @@ class MPO:
         return [t.shape[-1] for t in self.tensors[:-1]]
 
     def copy(self) -> "MPO":
-        return MPO([t.copy() for t in self.tensors], self.hermitian)
+        return MPO([t.copy() for t in self.tensors])
 
     def to_dense(self) -> Array:
         """Contract to a full ``2^n x 2^n`` matrix (guarded to n <= 12)."""
         n = self.n_sites
         if n > _DENSE_SITE_CAP:
             raise ValueError(f"refusing dense reconstruction for n={n} > {_DENSE_SITE_CAP}")
-        res = self.tensors[0]
-        for t in self.tensors[1:]:
+        # (Dl, 4, Dr) -> (Dl, row, col, Dr)
+        sites = [np.tensordot(t, _BASIS, axes=(1, 0)).transpose(0, 2, 3, 1)
+                 for t in self.tensors]
+        res = sites[0]
+        for t in sites[1:]:
             res = np.tensordot(res, t, axes=(-1, 0))
         res = res[0, ..., 0]
         # axes are (r1, c1, r2, c2, ...); bring all rows first, then columns
@@ -95,110 +112,94 @@ class MPO:
         return np.transpose(res, perm).reshape(2**n, 2**n)
 
 
-def _as_mps_site(t: Array) -> Array:
-    dl, _, _, dr = t.shape
-    return t.reshape(dl, 4, dr)
-
-
-def _as_mpo_site(t: Array) -> Array:
-    dl, _, dr = t.shape
-    return t.reshape(dl, 2, 2, dr)
+def _site_coeffs(op: Array) -> Array:
+    """Real coefficients c_a = Tr(B_a op) of a Hermitian 2x2 operator."""
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2, 2):
+        raise ValueError(f"site operator must be 2x2, got {op.shape}")
+    c = np.einsum("aij,ji->a", _BASIS, op)
+    if np.abs(c.imag).max() > 1e-12 * max(1.0, np.abs(c).max()):
+        raise ValueError("site operator is not Hermitian")
+    return c.real
 
 
 def identity_mpo(n: int) -> MPO:
-    return MPO([_EYE2.reshape(1, 2, 2, 1).copy() for _ in range(n)], hermitian=True)
+    return MPO([_ID_COEFFS.reshape(1, 4, 1).copy() for _ in range(n)])
 
 
 def zero_mpo(n: int) -> MPO:
-    return MPO([np.zeros((1, 2, 2, 1), dtype=complex) for _ in range(n)], hermitian=True)
+    return MPO([np.zeros((1, 4, 1)) for _ in range(n)])
 
 
-def from_pauli_sum(terms: list[tuple[str, complex]], n: int | None = None) -> MPO:
+def from_pauli_sum(terms: list[tuple[str, float]], n: int | None = None) -> MPO:
     """Build sum_k coeff_k * P_k from Pauli strings such as ``("IXZ", 0.5)``.
 
-    The bond dimension equals the number of terms; compress afterwards if a
-    smaller exact rank is known.
+    Coefficients must be real.  The bond dimension equals the number of
+    terms; compress afterwards if a smaller exact rank is known.
     """
     if not terms:
         raise ValueError("need at least one term")
     if n is None:
         n = len(terms[0][0])
-    for s, _ in terms:
+    for s, c in terms:
         if len(s) != n:
             raise ValueError(f"string {s!r} has length {len(s)}, expected {n}")
         if any(ch not in PAULI for ch in s):
             raise ValueError(f"invalid Pauli letter in {s!r}")
+        if np.iscomplexobj(c):
+            raise ValueError(f"coefficient {c!r} of {s!r} must be real")
     m = len(terms)
-    if n == 1:
-        w = np.zeros((1, 2, 2, 1), dtype=complex)
-        for s, c in terms:
-            w[0, :, :, 0] += c * PAULI[s[0]]
-        herm = all(abs(complex(c).imag) < 1e-14 for _, c in terms)
-        return MPO([w], hermitian=herm)
-    tensors = []
-    w0 = np.zeros((1, 2, 2, m), dtype=complex)
-    for k, (s, c) in enumerate(terms):
-        w0[0, :, :, k] = c * PAULI[s[0]]
-    tensors.append(w0)
-    for site in range(1, n - 1):
-        w = np.zeros((m, 2, 2, m), dtype=complex)
-        for k, (s, _) in enumerate(terms):
-            w[k, :, :, k] = PAULI[s[site]]
-        tensors.append(w)
-    wn = np.zeros((m, 2, 2, 1), dtype=complex)
-    for k, (s, _) in enumerate(terms):
-        wn[k, :, :, 0] = PAULI[s[n - 1]]
-    tensors.append(wn)
-    herm = all(abs(complex(c).imag) < 1e-14 for _, c in terms)
-    return MPO(tensors, hermitian=herm)
+    # P = sqrt(2) B: one-hot tensors, the coefficient on the first site
+    tensors = [np.zeros((1 if k == 0 else m, 4, 1 if k == n - 1 else m)) for k in range(n)]
+    for j, (s, c) in enumerate(terms):
+        for k, ch in enumerate(s):
+            left, right = (0 if k == 0 else j), (0 if k == n - 1 else j)
+            tensors[k][left, "IXYZ".index(ch), right] += _SQRT2 * (float(c) if k == 0 else 1.0)
+    return MPO(tensors)
 
 
 def sum_local_mpo(local_ops: list[Array], constant: float = 0.0) -> MPO:
-    """Exact bond-2 MPO for ``sum_i h_i + constant * identity``."""
+    """Exact bond-2 MPO for ``sum_i h_i + constant * identity``; each h_i
+    must be a Hermitian 2x2 matrix."""
     n = len(local_ops)
+    vecs = [_site_coeffs(op) for op in local_ops]
+    vecs[0] = vecs[0] + constant * _ID_COEFFS
     if n == 1:
-        w = (local_ops[0].astype(complex) + constant * _EYE2).reshape(1, 2, 2, 1)
-        return MPO([w], hermitian=bool(np.allclose(w[0, :, :, 0], w[0, :, :, 0].conj().T)))
-    ops = [op.astype(complex) for op in local_ops]
-    ops[0] = ops[0] + constant * _EYE2
-    tensors = []
-    w0 = np.zeros((1, 2, 2, 2), dtype=complex)
-    w0[0, :, :, 0] = ops[0]
-    w0[0, :, :, 1] = _EYE2
-    tensors.append(w0)
+        return MPO([vecs[0].reshape(1, 4, 1)])
+    w0 = np.zeros((1, 4, 2))
+    w0[0, :, 0] = vecs[0]
+    w0[0, :, 1] = _ID_COEFFS
+    tensors = [w0]
     for k in range(1, n - 1):
-        w = np.zeros((2, 2, 2, 2), dtype=complex)
-        w[0, :, :, 0] = _EYE2
-        w[1, :, :, 0] = ops[k]
-        w[1, :, :, 1] = _EYE2
+        w = np.zeros((2, 4, 2))
+        w[0, :, 0] = _ID_COEFFS
+        w[1, :, 0] = vecs[k]
+        w[1, :, 1] = _ID_COEFFS
         tensors.append(w)
-    wn = np.zeros((2, 2, 2, 1), dtype=complex)
-    wn[0, :, :, 0] = _EYE2
-    wn[1, :, :, 0] = ops[n - 1]
+    wn = np.zeros((2, 4, 1))
+    wn[0, :, 0] = _ID_COEFFS
+    wn[1, :, 0] = vecs[n - 1]
     tensors.append(wn)
-    herm = all(np.allclose(op, op.conj().T) for op in ops)
-    return MPO(tensors, hermitian=herm)
+    return MPO(tensors)
 
 
-def random_mpo(n: int, bond: int, rng: np.random.Generator, hermitian: bool = False) -> MPO:
-    """Random dense-tensor MPO, optionally Hermitianized as (A + A^dag)/2."""
+def random_mpo(n: int, bond: int, rng: np.random.Generator) -> MPO:
+    """The Hermitian part (A + A^dag)/2 of a random dense-tensor MPO A with
+    complex Gaussian entries; the result has bond ``2 * bond``."""
     tensors = []
     for k in range(n):
         dl = 1 if k == 0 else bond
         dr = 1 if k == n - 1 else bond
         t = rng.standard_normal((dl, 2, 2, dr)) + 1j * rng.standard_normal((dl, 2, 2, dr))
-        tensors.append(t / np.sqrt(4 * bond))
-    a = MPO(tensors)
-    if hermitian:
-        a = mpo_scale(mpo_add(a, conj_transpose(a)), 0.5)
-        a = replace(a, hermitian=True)
-    return a
-
-
-def conj_transpose(a: MPO) -> MPO:
-    """A -> A^dag (conjugate every tensor, swap the physical legs)."""
-    tensors = [t.conj().transpose(0, 2, 1, 3) for t in a.tensors]
-    return MPO(tensors, hermitian=a.hermitian)
+        c = np.einsum("aij,ljir->lar", _BASIS, t / np.sqrt(4 * bond))
+        # z -> [[Re z, -Im z], [Im z, Re z]] turns products of complex
+        # tensors into real ones whose (0, 0) block is the real part, which
+        # holds the Pauli coefficients of (A + A^dag)/2
+        tensors.append(np.concatenate([np.concatenate([c.real, -c.imag], axis=2),
+                                       np.concatenate([c.imag, c.real], axis=2)], axis=0))
+    tensors[0] = tensors[0][:1]
+    tensors[-1] = tensors[-1][:, :, :1]
+    return MPO(tensors)
 
 
 def mpo_add(a: MPO, b: MPO) -> MPO:
@@ -206,7 +207,7 @@ def mpo_add(a: MPO, b: MPO) -> MPO:
         raise ValueError("site-count mismatch")
     n = a.n_sites
     if n == 1:
-        return MPO([a.tensors[0] + b.tensors[0]], hermitian=a.hermitian and b.hermitian)
+        return MPO([a.tensors[0] + b.tensors[0]])
     tensors = []
     for k in range(n):
         ta, tb = a.tensors[k], b.tensors[k]
@@ -217,58 +218,48 @@ def mpo_add(a: MPO, b: MPO) -> MPO:
         elif k == n - 1:
             w = np.concatenate([ta, tb], axis=0)
         else:
-            w = np.zeros((la + lb, 2, 2, ra + rb), dtype=complex)
-            w[:la, :, :, :ra] = ta
-            w[la:, :, :, ra:] = tb
+            w = np.zeros((la + lb, 4, ra + rb))
+            w[:la, :, :ra] = ta
+            w[la:, :, ra:] = tb
         tensors.append(w)
-    return MPO(tensors, hermitian=a.hermitian and b.hermitian)
+    return MPO(tensors)
 
 
-def mpo_scale(a: MPO, c: complex) -> MPO:
-    tensors = [a.tensors[0] * c] + [t.copy() for t in a.tensors[1:]]
-    herm = a.hermitian and abs(complex(c).imag) < 1e-14
-    return MPO(tensors, hermitian=herm)
+def mpo_scale(a: MPO, c: float) -> MPO:
+    if np.iscomplexobj(c):
+        raise ValueError(f"scale factor {c!r} must be real")
+    return MPO([a.tensors[0] * float(c)] + list(a.tensors[1:]))
 
 
-def symmetrize(a: MPO) -> MPO:
-    """(A + A^dag)/2, flagged Hermitian.  Doubles the bond dimension."""
-    out = mpo_scale(mpo_add(a, conj_transpose(a)), 0.5)
-    return replace(out, hermitian=True)
-
-
-def mpo_trace(a: MPO) -> complex:
-    v = np.ones((1, 1), dtype=complex)
+def mpo_trace(a: MPO) -> float:
+    """Tr(A) = c_{I..I} * sqrt(2)^n."""
+    v = np.ones(1)
     for t in a.tensors:
-        m = np.trace(t, axis1=1, axis2=2)  # (Dl, Dr)
-        v = v @ m
-    return complex(v[0, 0])
+        v = v @ (_SQRT2 * t[:, 0, :])
+    return float(v[0])
 
 
-def mpo_hs_inner(a: MPO, b: MPO) -> complex:
-    """Hilbert-Schmidt inner product Tr(A^dag B) via transfer contraction."""
+def mpo_hs_inner(a: MPO, b: MPO) -> float:
+    """Hilbert-Schmidt inner product Tr(A B) via transfer contraction."""
     if a.n_sites != b.n_sites:
         raise ValueError("site-count mismatch")
-    v = np.ones((1, 1), dtype=complex)  # (bond_a, bond_b)
+    v = np.ones((1, 1))  # (bond_a, bond_b)
     for ta, tb in zip(a.tensors, b.tensors):
-        ma = _as_mps_site(ta)
-        mb = _as_mps_site(tb)
-        # v[la, lb] , conj(ma)[la, s, ra] , mb[lb, s, rb] -> v'[ra, rb]
-        tmp = np.tensordot(v, ma.conj(), axes=(0, 0))      # (lb, s, ra)
-        v = np.tensordot(tmp, mb, axes=([0, 1], [0, 1]))   # (ra, rb)
-    return complex(v[0, 0])
+        # v[la, lb] , ta[la, s, ra] , tb[lb, s, rb] -> v'[ra, rb]
+        tmp = np.tensordot(v, ta, axes=(0, 0))              # (lb, s, ra)
+        v = np.tensordot(tmp, tb, axes=([0, 1], [0, 1]))    # (ra, rb)
+    return float(v[0, 0])
 
 
 def frobenius_norm(a: MPO) -> float:
-    val = mpo_hs_inner(a, a).real
-    return float(np.sqrt(max(val, 0.0)))
+    return float(np.sqrt(max(mpo_hs_inner(a, a), 0.0)))
 
 
 def expectation_product_state(a: MPO, states: list[Array]) -> float:
-    """Tr(A * rho_1 x rho_2 x ... x rho_n) for a product density matrix.
+    """Tr(A * rho_1 x rho_2 x ... x rho_n) for a product density matrix,
+    contracted with the real vectors r_a = Tr(B_a rho_k).
 
-    Each local state must be a valid 2x2 density matrix.  The result is
-    returned as a real number; if ``a`` is flagged Hermitian an imaginary
-    part above 1e-10 raises.
+    Each local state must be a valid 2x2 density matrix.
     """
     if len(states) != a.n_sites:
         raise ValueError("one local state per site required")
@@ -281,27 +272,21 @@ def expectation_product_state(a: MPO, states: list[Array]) -> float:
             raise ValueError(f"site {k}: state not Hermitian")
         if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -1e-8:
             raise ValueError(f"site {k}: state not positive semidefinite")
-    v = np.ones((1, 1), dtype=complex)
+    v = np.ones((1, 1))
     for t, rho in zip(a.tensors, states):
-        # Tr(A rho) contracts A[.., out, in, ..] with rho[in, out]
-        m = np.einsum("aijb,ji->ab", t, rho)
-        v = v @ m
-    z = complex(v[0, 0])
-    scale = max(1.0, abs(z))
-    if a.hermitian and abs(z.imag) > 1e-10 * scale:
-        raise ValueError(f"imaginary expectation {z.imag} for Hermitian operator")
-    return float(z.real)
+        r = np.einsum("aij,ji->a", _BASIS, rho).real
+        v = v @ np.tensordot(t, r, axes=(1, 0))
+    return float(v[0, 0])
 
 
 def _right_canonicalize(sites: list[Array]) -> list[Array]:
     """LQ sweep N-1 .. 1 so every tensor except the first is right-isometric."""
-    sites = [t.copy() for t in sites]
+    sites = list(sites)
     for k in range(len(sites) - 1, 0, -1):
         dl, p, dr = sites[k].shape
-        mat = sites[k].reshape(dl, p * dr)
-        q, r = np.linalg.qr(mat.conj().T)       # mat = r^H q^H, q^H rows orthonormal
-        sites[k] = q.conj().T.reshape(-1, p, dr)
-        sites[k - 1] = np.tensordot(sites[k - 1], r.conj().T, axes=(-1, 0))
+        q, r = np.linalg.qr(sites[k].reshape(dl, p * dr).T)   # mat = r^T q^T
+        sites[k] = q.T.reshape(-1, p, dr)
+        sites[k - 1] = np.tensordot(sites[k - 1], r.T, axes=(-1, 0))
     return sites
 
 
@@ -321,12 +306,11 @@ def compress(a: MPO, max_bond: int) -> tuple[MPO, float]:
     n = a.n_sites
     if n == 1:
         return a.copy(), 0.0
-    sites = _right_canonicalize([_as_mps_site(t) for t in a.tensors])
+    sites = _right_canonicalize(a.tensors)
     err2 = 0.0
     for k in range(n - 1):
         dl, p, dr = sites[k].shape
-        mat = sites[k].reshape(dl * p, dr)
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        u, s, vh = np.linalg.svd(sites[k].reshape(dl * p, dr), full_matrices=False)
         if s.size and s[0] > 0.0:
             keep = int(np.sum(s > SVAL_FLOOR * s[0]))
         else:
@@ -334,109 +318,105 @@ def compress(a: MPO, max_bond: int) -> tuple[MPO, float]:
         keep = max(1, min(keep, max_bond))
         err2 += float(np.sum(s[keep:] ** 2))
         sites[k] = u[:, :keep].reshape(dl, p, keep)
-        sv = (s[:keep, None] * vh[:keep, :])
-        sites[k + 1] = np.tensordot(sv, sites[k + 1], axes=(1, 0))
-    out = MPO([_as_mpo_site(t) for t in sites], hermitian=False)
-    return out, float(np.sqrt(err2))
+        sites[k + 1] = np.tensordot(s[:keep, None] * vh[:keep, :], sites[k + 1], axes=(1, 0))
+    return MPO(sites), float(np.sqrt(err2))
 
 
-def _check_unitary(u: Array, dim: int) -> Array:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (dim, dim):
-        raise ValueError(f"gate must be {dim}x{dim}, got {u.shape}")
+@functools.lru_cache(maxsize=1024)
+def _ptm(key: bytes) -> Array:
+    """Real PTM R[a, b] = Tr(B_a U^dag B_b U) of the gate U whose complex
+    bytes are ``key`` (2x2 or 4x4), checked unitary once per distinct gate.
+
+    The cache holds every gate of a 16-site depth-25 brick wall; the
+    returned array is read-only.
+    """
+    dim = 2 if len(key) == 4 * 16 else 4
+    u = np.frombuffer(key, dtype=complex).reshape(dim, dim)
     if np.abs(u.conj().T @ u - np.eye(dim)).max() > 1e-10:
         raise ValueError("gate is not unitary")
-    return u
+    basis = _BASIS if dim == 2 else _BASIS2
+    m = u.conj().T @ basis @ u                       # U^dag B_b U
+    r = (basis.reshape(dim * dim, -1) @ m.transpose(0, 2, 1).reshape(dim * dim, -1).T).real
+    r.flags.writeable = False
+    return r
 
 
-@functools.lru_cache(maxsize=64)
-def _schmidt_kernels(key: bytes) -> tuple[Array, Array]:
-    """Operator-Schmidt kernels of V = U^dag = sum_s a_s (x) b_s.
+def _gate_key(gate: Array, dim: int) -> bytes:
+    u = np.ascontiguousarray(gate, dtype=complex)
+    if u.shape != (dim, dim):
+        raise ValueError(f"gate must be {dim}x{dim}, got {u.shape}")
+    return u.tobytes()
 
-    ``key`` holds the bytes of the 4x4 complex gate U, so a circuit that
-    reuses a gate factors it once; the returned arrays are read-only.
 
-    V[(o1 o2), (x1 x2)] is reshuffled to M[(o1 x1), (o2 x2)] and split by
-    one 4x4 SVD; factors with singular value <= SVAL_FLOOR * s_0 are
-    dropped.  Returns ``(ka, kb)``, each of shape ``(r^2, 4, 4)``, with
+@functools.lru_cache(maxsize=1024)
+def _ptm_factors(key: bytes) -> tuple[Array, Array]:
+    """Real factor pairs of a two-site gate's PTM, R = sum_k F_k (x) G_k.
 
-        ka[(s, s'), (o, i), (x, y)] = a_s[o, x] * conj(a_s'[i, y])
-
-    and likewise for ``kb``, so that ``ka[(s, s')]`` applied to a site
-    operator L gives a_s L a_s'^dag.
+    R[(a1 a2), (b1 b2)] is reshuffled to M[(a1 b1), (a2 b2)] and split by
+    one 16x16 SVD; pairs with singular value <= SVAL_FLOOR * s_0 are
+    dropped.  A gate of operator-Schmidt rank r has r^2 pairs.  Returns
+    read-only ``(fa, fb)`` of shape ``(r^2, 4, 4)``.
     """
-    v = np.frombuffer(key, dtype=complex).reshape(4, 4).conj().T
-    m = v.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    m = _ptm(key).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
     um, s, vh = np.linalg.svd(m)
-    r = max(1, int(np.sum(s > SVAL_FLOOR * s[0])))
-    fa = (um[:, :r] * s[:r]).T.reshape(r, 2, 2)
-    fb = vh[:r].reshape(r, 2, 2)
-    ka = np.einsum("sox,tiy->stoixy", fa, fa.conj()).reshape(r * r, 4, 4)
-    kb = np.einsum("sox,tiy->stoixy", fb, fb.conj()).reshape(r * r, 4, 4)
-    ka.flags.writeable = False
-    kb.flags.writeable = False
-    return ka, kb
+    k = max(1, int(np.sum(s > SVAL_FLOOR * s[0])))
+    fa = (um[:, :k] * s[:k]).T.reshape(k, 4, 4)
+    fb = vh[:k].reshape(k, 4, 4)
+    fa.flags.writeable = False
+    fb.flags.writeable = False
+    return fa, fb
 
 
 def apply_gate_adjoint(a: MPO, gate: Array, sites: tuple[int, ...]) -> MPO:
-    """Heisenberg-picture update A -> U^dag A U.
+    """Heisenberg-picture update A -> U^dag A U, through the gate's PTM.
 
     Single-site gates act in place; two-site gates must act on adjacent
     sites (use :func:`apply_gate_adjoint_longrange` otherwise).
 
-    A two-site gate is split into its operator-Schmidt factors
-    V = U^dag = sum_s a_s (x) b_s (rank r <= 4), and the pair is updated as
-    V (L (x) R) V^dag = sum_{s,s'} (a_s L a_s'^dag) (x) (b_s R b_s'^dag),
-    which is exact at bond D_mid * r^2 and drops only gate factors below
-    the relative floor SVAL_FLOOR.  When that bond would exceed the SVD bound
-    min(4 D_left, 4 D_right) (chain ends, and rank-4 gates such as SWAP),
-    the updated pair is instead re-split by an SVD, which discards
-    singular values below the floor without reporting them.
+    A two-site PTM is split into r^2 real factor pairs R = sum_k F_k (x) G_k
+    (r <= 4 the gate's operator-Schmidt rank), and the pair is updated as
+    sum_k (F_k L) (x) (G_k R), which is exact at bond D_mid * r^2 and drops
+    only PTM factors below the relative floor SVAL_FLOOR.  When that bond
+    would exceed the SVD bound min(4 D_left, 4 D_right) (chain ends, and
+    rank-4 gates such as SWAP), the updated pair is instead re-split by an
+    SVD, which discards singular values below the floor without reporting
+    them.
     """
     n = a.n_sites
     for s in sites:
         if not 0 <= s < n:
             raise ValueError(f"site {s} out of range for n={n}")
+    tensors = list(a.tensors)
     if len(sites) == 1:
-        u = _check_unitary(gate, 2)
-        v = u.conj().T
         k = sites[0]
-        t = np.einsum("oa,labr,ib->loir", v, a.tensors[k], v.conj())
-        tensors = list(a.tensors)
-        tensors[k] = t
-        return MPO(tensors, hermitian=a.hermitian)
+        tensors[k] = _ptm(_gate_key(gate, 2)) @ a.tensors[k]
+        return MPO(tensors)
     if len(sites) != 2:
         raise ValueError("gates act on one or two sites")
     i, j = sites
     if j != i + 1:
         raise ValueError("two-site gates must act on adjacent sites (i, i+1)")
-    u = _check_unitary(gate, 4)
+    key = _gate_key(gate, 4)
+    fa, fb = _ptm_factors(key)
     ti, tj = a.tensors[i], a.tensors[j]
     dl, dm, dr = ti.shape[0], ti.shape[-1], tj.shape[-1]
-    tensors = list(a.tensors)
-    ka, kb = _schmidt_kernels(u.tobytes())
-    r2 = ka.shape[0]
-    if r2 * dm <= 4 * min(dl, dr):
-        # new bond index is (m, s, s'), m the old bond
-        li = np.tensordot(ti.reshape(dl, 4, dm), ka, axes=(1, 2))  # (l, m, ss', oi)
-        tensors[i] = li.transpose(0, 3, 1, 2).reshape(dl, 2, 2, dm * r2)
-        rj = np.tensordot(kb, tj.reshape(dm, 4, dr), axes=(2, 1))  # (ss', oi, m, r)
-        tensors[j] = rj.transpose(2, 0, 1, 3).reshape(dm * r2, 2, 2, dr)
-        return MPO(tensors, hermitian=a.hermitian)
-    v = u.conj().T
-    theta = np.tensordot(ti, tj, axes=(-1, 0))          # (l, o1, i1, o2, i2, r)
-    theta = theta.transpose(0, 1, 3, 2, 4, 5).reshape(dl, 4, 4, dr)
-    theta = np.einsum("oa,labr,ib->loir", v, theta, v.conj())
-    theta = theta.reshape(dl, 2, 2, 2, 2, dr).transpose(0, 1, 3, 2, 4, 5)
-    mat = theta.reshape(dl * 4, 4 * dr)
-    um, s, vh = np.linalg.svd(mat, full_matrices=False)
+    k2 = fa.shape[0]
+    if k2 * dm <= 4 * min(dl, dr):
+        # new bond index is (m, k), m the old bond
+        li = np.tensordot(ti, fa, axes=(1, 2))                     # (l, m, k, a)
+        tensors[i] = li.transpose(0, 3, 1, 2).reshape(dl, 4, dm * k2)
+        rj = np.tensordot(fb, tj, axes=(2, 1))                     # (k, a, m, r)
+        tensors[j] = rj.transpose(2, 0, 1, 3).reshape(dm * k2, 4, dr)
+        return MPO(tensors)
+    theta = _ptm(key) @ np.tensordot(ti, tj, axes=(-1, 0)).reshape(dl, 16, dr)
+    um, s, vh = np.linalg.svd(theta.reshape(dl * 4, 4 * dr), full_matrices=False)
     if s.size and s[0] > 0.0:
         keep = max(1, int(np.sum(s > SVAL_FLOOR * s[0])))
     else:
         keep = 1
-    tensors[i] = um[:, :keep].reshape(dl, 2, 2, keep)
-    tensors[j] = (s[:keep, None] * vh[:keep, :]).reshape(keep, 2, 2, dr)
-    return MPO(tensors, hermitian=a.hermitian)
+    tensors[i] = um[:, :keep].reshape(dl, 4, keep)
+    tensors[j] = (s[:keep, None] * vh[:keep, :]).reshape(keep, 4, dr)
+    return MPO(tensors)
 
 
 def apply_gate_adjoint_longrange(a: MPO, gate: Array, sites: tuple[int, int]) -> MPO:
@@ -475,35 +455,37 @@ def apply_gate(a: MPO, gate: Array, sites: tuple[int, ...]) -> MPO:
 def apply_depolarizing_adjoint(a: MPO, p: float, site: int) -> MPO:
     """Adjoint of single-site depolarizing noise (the channel is self-adjoint):
 
-        A -> (1 - p) A + p * Tr_site(A) x I/2
+        A -> (1 - p) A + p * Tr_site(A) x I/2,
 
-    Bond dimensions are unchanged.
+    whose PTM is diag(1, 1 - p, 1 - p, 1 - p).  Bond dimensions are
+    unchanged.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
     if not 0 <= site < a.n_sites:
         raise ValueError(f"site {site} out of range")
-    t = a.tensors[site]
-    tr = np.trace(t, axis1=1, axis2=2)  # (Dl, Dr)
-    tnew = (1.0 - p) * t + p * 0.5 * np.einsum("ab,oi->aoib", tr, _EYE2)
     tensors = list(a.tensors)
-    tensors[site] = tnew
-    return MPO(tensors, hermitian=a.hermitian)
+    tensors[site] = a.tensors[site] * np.array([1.0, 1.0 - p, 1.0 - p, 1.0 - p])[:, None]
+    return MPO(tensors)
 
 
 def apply_site_superop_adjoint(a: MPO, superop: Array, site: int) -> MPO:
     """Apply the adjoint of a single-site channel given as a 4x4 superoperator.
 
     ``superop`` maps vec(X) -> vec(N(X)) with row-major vec; the adjoint with
-    respect to the Hilbert-Schmidt inner product is its conjugate transpose.
+    respect to the Hilbert-Schmidt inner product is its conjugate transpose,
+    applied as the PTM R[a, b] = Tr(B_a N^dag(B_b)).  That PTM is real
+    exactly when N^dag preserves Hermiticity; any other map raises.
     """
     k = np.asarray(superop, dtype=complex)
     if k.shape != (4, 4):
         raise ValueError("superoperator must be 4x4")
     if not 0 <= site < a.n_sites:
         raise ValueError(f"site {site} out of range")
-    kd = k.conj().T.reshape(2, 2, 2, 2)  # [o, i, a, b]
-    t = np.einsum("oiab,labr->loir", kd, a.tensors[site])
+    # Tr(B_a Y) = vec(B_a^T) . vec(Y)
+    r = _BASIS.transpose(0, 2, 1).reshape(4, 4) @ k.conj().T @ _BASIS.reshape(4, 4).T
+    if np.abs(r.imag).max() > 1e-10 * max(1.0, np.abs(r).max()):
+        raise ValueError("superoperator adjoint does not preserve Hermiticity")
     tensors = list(a.tensors)
-    tensors[site] = t
-    return MPO(tensors, hermitian=False)
+    tensors[site] = r.real @ a.tensors[site]
+    return MPO(tensors)

@@ -13,8 +13,10 @@ purity caps only make the bound weaker, never unsound, which is what lets
 the whole computation run at modest bond dimension.
 
 The TEBD ansatz back-propagates -H through the adjoint circuit, compressing
-to a fixed bond dimension after every layer; the compression errors are
-exactly the defect norms, so no separate defect evaluation is needed.
+to a fixed bond dimension once after every layer; the compression errors
+are exactly the defect norms, so no separate defect evaluation is needed.
+Every MPO is a real Pauli-basis operator, Hermitian by construction, so no
+step has to restore Hermiticity.
 """
 
 from __future__ import annotations
@@ -24,11 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import CircuitSpec, Layer
-from .mpo import (MPO, apply_depolarizing_adjoint, apply_gate_adjoint,
-                  apply_gate_adjoint_longrange, apply_site_superop_adjoint,
-                  compress, conj_transpose, expectation_product_state,
-                  frobenius_norm, mpo_add, mpo_scale, symmetrize)
+from .mpo import (MPO, _site_coeffs, apply_depolarizing_adjoint,
+                  apply_gate_adjoint, apply_gate_adjoint_longrange,
+                  apply_site_superop_adjoint, compress,
+                  expectation_product_state, frobenius_norm, identity_mpo,
+                  mpo_add, mpo_scale)
 from .noise import BoundSchedule, superop_matrix
+
+# (A + A^dag)/2 is A for every MPO; the name is kept only because the
+# benchmark tracer (bench/tracer.py) probes ``trace_dual.symmetrize``.
+symmetrize = MPO.copy
 
 
 def apply_layer_adjoint(a: MPO, layer: Layer) -> MPO:
@@ -36,11 +43,12 @@ def apply_layer_adjoint(a: MPO, layer: Layer) -> MPO:
 
     A layer acts as rho -> N^xN(U rho U^dag), so the adjoint applies the
     noise adjoint to every site first, then the gate adjoints in reverse
-    order.  A two-site gate of operator-Schmidt rank r multiplies its bond
-    by r^2 (r <= 2 for XX, ZZ, CZ, CNOT), capped at 4 min(D_left, D_right)
-    by an SVD re-split; non-adjacent gates run through swap chains.  Only
-    gate factors and, in the SVD re-split, singular values below the
-    relative floor ``SVAL_FLOOR`` are dropped, uncharged.
+    order, each as a real Pauli transfer matrix.  A two-site gate of
+    operator-Schmidt rank r multiplies its bond by r^2 (r <= 2 for XX, ZZ,
+    CZ, CNOT), capped at 4 min(D_left, D_right) by an SVD re-split;
+    non-adjacent gates run through swap chains.  Only PTM factors and, in
+    the SVD re-split, singular values below the relative floor
+    ``SVAL_FLOOR`` are dropped, uncharged.
     """
     n = a.n_sites
     if layer.noise.kind == "depolarizing":
@@ -73,38 +81,19 @@ class TebdDual:
     meta: dict = field(default_factory=dict)
 
 
-def _recompress_hermitian(a: MPO, max_bond: int) -> tuple[MPO, float]:
-    """Compress, restore Hermiticity by averaging with the adjoint, and
-    compress once more.  Returns the result and the total defect incurred.
-
-    Averaging with the adjoint is a Frobenius projection, so it cannot move
-    the result further from the (Hermitian) exact operator; the second
-    compression is near-lossless because the kept singular subspaces are
-    already adjoint-closed up to roundoff.
-    """
-    b, e1 = compress(a, max_bond)
-    b = symmetrize(b)
-    b, e2 = compress(b, max_bond)
-    b.hermitian = True
-    return b, e1 + e2
-
-
 def heisenberg_tebd(circuit: CircuitSpec, target: MPO, max_bond: int) -> TebdDual:
     """Back-propagate -H through the adjoint circuit at fixed bond dimension.
 
     sigma_d = -H exactly; sigma_t = Pi_D [E_{t+1}^dag(sigma_{t+1})] for
-    t = d-1 .. 1, where Pi_D is SVD compression to bond ``max_bond``
-    followed by Hermitian symmetrization.  The recorded defect norms are
-    the exact compression errors (symmetrization cannot increase them).
-    Gate adjoints are exact up to the 1e-14 relative floor ``SVAL_FLOOR``:
-    they drop gate factors below it and, in the SVD re-split at chain ends
-    and for rank-4 gates, singular values below it.  Neither is charged;
-    both are far below every tolerance used downstream.
+    t = d-1 .. 1, where Pi_D is one SVD compression to bond ``max_bond``.
+    The recorded defect norms are the exact compression errors.  Gate
+    adjoints are exact up to the 1e-14 relative floor ``SVAL_FLOOR``: they
+    drop PTM factors below it and, in the SVD re-split at chain ends and
+    for rank-4 gates, singular values below it.  Neither is charged; both
+    are far below every tolerance used downstream.
     """
     if target.n_sites != circuit.n_sites:
         raise ValueError("target must act on the circuit's sites")
-    if not target.hermitian:
-        raise ValueError("target must be flagged Hermitian")
     d = circuit.depth
     if d < 1:
         raise ValueError("circuit must have at least one layer")
@@ -113,7 +102,7 @@ def heisenberg_tebd(circuit: CircuitSpec, target: MPO, max_bond: int) -> TebdDua
     sigmas[d - 1] = mpo_scale(target, -1.0)
     for t in range(d - 1, 0, -1):
         b = apply_layer_adjoint(sigmas[t], circuit.layers[t])
-        sigmas[t - 1], defects[t - 1] = _recompress_hermitian(b, max_bond)
+        sigmas[t - 1], defects[t - 1] = compress(b, max_bond)
     return TebdDual(sigmas, defects, meta={"max_bond": int(max_bond)})
 
 
@@ -251,9 +240,9 @@ def _hermitian_direction(n: int, site: int, rng: np.random.Generator) -> MPO:
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     h = 0.5 * (g + g.conj().T)
     h /= max(np.linalg.norm(h), 1e-12)
-    tensors = [np.eye(2, dtype=complex).reshape(1, 2, 2, 1) for _ in range(n)]
-    tensors[site] = h.astype(complex).reshape(1, 2, 2, 1)
-    return MPO(tensors, hermitian=True)
+    tensors = list(identity_mpo(n).tensors)
+    tensors[site] = _site_coeffs(h).reshape(1, 4, 1)
+    return MPO(tensors)
 
 
 def refine_dual(circuit: CircuitSpec, dual: TebdDual, target: MPO,
@@ -294,7 +283,7 @@ def refine_dual(circuit: CircuitSpec, dual: TebdDual, target: MPO,
         def shifted(eps: float) -> list[MPO]:
             cand = list(sigmas)
             moved = mpo_add(sigmas[t], mpo_scale(direction, eps))
-            moved, _ = _recompress_hermitian(moved, max_bond)
+            moved, _ = compress(moved, max_bond)
             cand[t] = moved
             return cand
 

@@ -63,7 +63,7 @@ def z_terms(n: int, coeff: float = -1.0) -> list[tuple[str, float]]:
 
 def random_herm_duals(n: int, depth: int, rng: np.random.Generator,
                       bond: int = 3) -> list:
-    return [random_mpo(n, bond, rng, hermitian=True) for _ in range(depth)]
+    return [random_mpo(n, bond, rng) for _ in range(depth)]
 
 
 def random_quadratic_duals(n: int, depth: int, rng: np.random.Generator,
@@ -466,8 +466,8 @@ def test_10_optimizers_monotone_and_mpo_dense_equivalent():
 
     for k in range(10):
         n = int(rng.integers(3, 6))
-        a = random_mpo(n, 3, rng, hermitian=True)
-        b = random_mpo(n, 2, rng, hermitian=True)
+        a = random_mpo(n, 3, rng)
+        b = random_mpo(n, 2, rng)
         da, db = a.to_dense(), b.to_dense()
         assert np.abs(mpo_add(a, b).to_dense() - (da + db)).max() < 1e-9
         assert np.abs(mpo_scale(a, 0.37).to_dense() - 0.37 * da).max() < 1e-9

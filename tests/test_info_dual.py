@@ -262,7 +262,7 @@ def test_info_dual_sound_for_random_duals(seed):
     circ, target = brickwall_1d(n, d, 0.25, p, 200 + seed)
     energy = dense_simulate(circ, hamiltonian=target).energy
     rng = np.random.default_rng(seed)
-    sigmas = [random_mpo(n, 2, rng, hermitian=True) for _ in range(d)]
+    sigmas = [random_mpo(n, 2, rng) for _ in range(d)]
     val = dual_value_info_dense(circ, sigmas, target, info_schedule(n, d, p))
     assert val.bound <= energy + 1e-8
 

@@ -19,7 +19,6 @@ from noisebound.mpo import (
     apply_gate_adjoint_longrange,
     apply_site_superop_adjoint,
     compress,
-    conj_transpose,
     expectation_product_state,
     from_pauli_sum,
     frobenius_norm,
@@ -30,7 +29,6 @@ from noisebound.mpo import (
     mpo_trace,
     random_mpo,
     sum_local_mpo,
-    symmetrize,
     zero_mpo,
 )
 from noisebound.noise import depolarizing, purity_schedule, superop_matrix
@@ -68,7 +66,7 @@ def embed(op: np.ndarray, n: int, sites: tuple[int, ...]) -> np.ndarray:
 
 def rand_herm_mpo(n: int, bond: int, seed: int) -> MPO:
     rng = np.random.default_rng(seed)
-    return random_mpo(n, bond, rng, hermitian=True)
+    return random_mpo(n, bond, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +148,21 @@ def test_trace_inner_norm_vs_dense():
 
 
 def test_conj_transpose_and_symmetrize():
+    """A^dag = A, so (A + A^dag)/2 = A, for what random_mpo and the gate
+    adjoints return: no symmetrization step is needed."""
     rng = np.random.default_rng(8)
-    a = random_mpo(3, 3, rng, hermitian=False)
-    assert np.abs(conj_transpose(a).to_dense() - a.to_dense().conj().T).max() < 1e-12
-    s = symmetrize(a).to_dense()
-    assert np.abs(s - (a.to_dense() + a.to_dense().conj().T) / 2).max() < 1e-12
-    assert np.abs(s - s.conj().T).max() < 1e-12
+    a = random_mpo(3, 3, rng)
+    q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    for op in (a, apply_gate_adjoint(a, q, (0, 1)),
+               apply_gate_adjoint(a, haar_single_qubit(rng), (2,))):
+        s = op.to_dense()
+        assert np.abs(s - s.conj().T).max() < 1e-12
 
 
 def test_hermitian_flag_dense():
     a = rand_herm_mpo(5, 4, 9)
     ad = a.to_dense()
-    assert a.hermitian
+    assert all(t.dtype == np.float64 for t in a.tensors)
     assert np.abs(ad - ad.conj().T).max() < 1e-10
 
 
@@ -296,6 +297,7 @@ def test_gate_adjoint_every_bond_vs_dense(name):
     for n in (2, 3, 6):
         for bond in (1, 3, 8):
             a = random_mpo(n, bond, np.random.default_rng(100 * n + bond))
+            assert all(t.dtype == np.float64 for t in a.tensors)
             dense = a.to_dense()
             for i in range(n - 1):
                 got = apply_gate_adjoint(a, gate, (i, i + 1))
@@ -381,3 +383,93 @@ def test_non_unitary_gate_rejected():
     a = rand_herm_mpo(3, 2, 25)
     with pytest.raises(ValueError):
         apply_gate_adjoint(a, np.diag([1.0, 2.0]), (0,))
+
+
+# ---------------------------------------------------------------------------
+# Hermitian by construction, and the API boundary
+
+
+def _exactly_hermitian(a: MPO) -> bool:
+    d = a.to_dense()
+    return all(t.dtype == np.float64 for t in a.tensors) and np.array_equal(d, d.conj().T)
+
+
+def _hermitian_results() -> dict[str, MPO]:
+    rng = np.random.default_rng(30)
+    a = rand_herm_mpo(5, 3, 31)
+    b = rand_herm_mpo(5, 2, 32)
+    haar4 = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    return {
+        "from_pauli_sum": from_pauli_sum([("XYZIY", 0.3), ("ZZIIX", -1.2), ("IYYXI", 0.7)]),
+        "sum_local_mpo": sum_local_mpo([_X + 0.2 * _Y, -_Z, 0.5 * _Y, _X, _Z], constant=0.25),
+        "mpo_add": mpo_add(a, b),
+        "mpo_scale": mpo_scale(a, -0.37),
+        "compress": compress(mpo_add(a, b), 3)[0],
+        "gate_1site": apply_gate_adjoint(a, haar_single_qubit(rng), (2,)),
+        "gate_2site_factored": apply_gate_adjoint(a, xx_gate(0.37), (1, 2)),
+        # chain ends (D_left or D_right = 1) take the SVD re-split
+        "gate_2site_svd_swap_end": apply_gate_adjoint(a, SWAP, (0, 1)),
+        "gate_2site_svd_haar": apply_gate_adjoint(a, haar4, (3, 4)),
+        "gate_longrange": apply_gate_adjoint_longrange(a, haar4, (4, 1)),
+        "depolarizing": apply_depolarizing_adjoint(a, 0.13, 3),
+        "superop": apply_site_superop_adjoint(
+            a, superop_matrix(depolarizing(0.21)), 1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_hermitian_results()))
+def test_every_operation_is_exactly_hermitian(name):
+    """Real Pauli-basis tensors make every result Hermitian with zero
+    tolerance: the dense form equals its conjugate transpose bit for bit."""
+    assert _exactly_hermitian(_hermitian_results()[name])
+
+
+def test_nonunital_superop_adjoint_is_exactly_hermitian():
+    from noisebound.noise import biased_tau, replacement
+    a = rand_herm_mpo(4, 2, 33)
+    k = superop_matrix(replacement(0.2, biased_tau(0.3)))
+    got = apply_site_superop_adjoint(a, k, 2)
+    assert _exactly_hermitian(got)
+    want = a.to_dense().reshape((2,) * 8)
+    t = np.moveaxis(want, (2, 6), (6, 7))
+    t = (t.reshape(-1, 4) @ k.conj()).reshape(t.shape)
+    want = np.moveaxis(t, (6, 7), (2, 6)).reshape(16, 16)
+    assert np.abs(got.to_dense() - want).max() < 1e-12
+
+
+def test_complex_tensors_rejected():
+    with pytest.raises(ValueError, match="real"):
+        MPO([np.zeros((1, 4, 1), dtype=complex)])
+    with pytest.raises(ValueError, match="shape"):
+        MPO([np.zeros((1, 2, 2, 1))])
+
+
+def test_complex_pauli_coefficient_rejected():
+    with pytest.raises(ValueError, match="real"):
+        from_pauli_sum([("XZ", 1.0), ("YY", 0.5j)])
+
+
+def test_complex_scale_rejected():
+    with pytest.raises(ValueError, match="real"):
+        mpo_scale(rand_herm_mpo(3, 2, 34), 1.0 + 0.5j)
+
+
+def test_non_hermitian_local_operator_rejected():
+    with pytest.raises(ValueError, match="Hermitian"):
+        sum_local_mpo([_X, np.array([[0, 1], [0, 0]], dtype=complex)])
+
+
+def test_non_hermiticity_preserving_superop_rejected():
+    """X -> S X (row-major superoperator S (x) I) maps Hermitian operators
+    to non-Hermitian ones, so its adjoint has no real PTM."""
+    s_gate = np.diag([1.0, 1.0j])
+    with pytest.raises(ValueError, match="Hermiticity"):
+        apply_site_superop_adjoint(rand_herm_mpo(3, 2, 35), np.kron(s_gate, _I), 1)
+
+
+def test_non_unitary_two_site_gate_rejected():
+    a = rand_herm_mpo(3, 2, 36)
+    with pytest.raises(ValueError, match="unitary"):
+        apply_gate_adjoint(a, np.diag([1.0, 1.0, 1.0, 2.0]), (0, 1))
+    with pytest.raises(ValueError, match="4x4"):
+        apply_gate_adjoint(a, np.eye(2), (0, 1))

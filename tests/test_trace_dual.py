@@ -39,7 +39,7 @@ _KET0 = np.diag([1.0, 0.0]).astype(complex)
 
 def random_dual(circuit, bond, seed) -> list[MPO]:
     rng = np.random.default_rng(seed)
-    return [random_mpo(circuit.n_sites, bond, rng, hermitian=True)
+    return [random_mpo(circuit.n_sites, bond, rng)
             for _ in range(circuit.depth)]
 
 
@@ -72,7 +72,7 @@ def test_layer_adjoint_matches_dense():
     n = 3
     circ, target = brickwall_1d(n, 3, 0.4, 0.13, 2)
     rng = np.random.default_rng(3)
-    a = random_mpo(n, 3, rng, hermitian=True)
+    a = random_mpo(n, 3, rng)
     layer = circ.layers[1]
     got = apply_layer_adjoint(a, layer).to_dense()
 
@@ -98,7 +98,7 @@ def test_boundary_term_vs_dense():
     """-Tr[rho_0 E_1^dag(sigma_1)] = -Tr[rho_1 sigma_1]."""
     circ, target = brickwall_1d(4, 3, 0.3, 0.2, 4)
     rng = np.random.default_rng(5)
-    sigma1 = random_mpo(4, 3, rng, hermitian=True)
+    sigma1 = random_mpo(4, 3, rng)
     got = boundary_term(circ, sigma1)
     rho1 = dense_simulate(
         type(circ)(circ.n_sites, circ.layers[:1], circ.initial_state)).rho
@@ -260,3 +260,18 @@ def test_refine_dual_monotone_and_sound():
     assert end >= start - 1e-12
     energy = dense_simulate(circ, hamiltonian=target).energy
     assert end <= energy + 1e-8
+
+
+def test_one_compression_is_the_whole_defect():
+    """With one compression per step, its discarded weight is the defect:
+    the recorded norms match the explicit ||sigma_t - E^dag(sigma_{t+1})||_F
+    at D = 2, where they are far above the cancellation floor of explicit
+    norms, and the last step (sigma_d = -H exactly) records 0."""
+    circ, target = brickwall_1d(6, 5, 0.1, 0.1, 7)
+    dual = heisenberg_tebd(circ, target, max_bond=2)
+    explicit = explicit_defect_norms(circ, dual.sigmas, target)
+    recorded = dual.step_defects
+    assert np.all(recorded[:-1] > 0.1)
+    assert np.allclose(recorded[:-1], explicit[:-1], rtol=1e-9, atol=0.0)
+    assert recorded[-1] == 0.0
+    assert explicit[-1] <= 1e-12
