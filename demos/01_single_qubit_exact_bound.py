@@ -31,7 +31,7 @@ for p in (0.0, 0.1, 0.3):
     for theta in np.linspace(0.0, np.pi / 2, 7):
         circ, target = circuits.single_qubit_circuit(theta, p)
         dual = trace_dual.heisenberg_tebd(circ, target, 4)
-        bound = trace_dual.dual_value_trace(circ, dual, target, sched).bound
+        bound = trace_dual.dual_value(circ, dual, target, sched).bound
         energy = (1.0 - p) * np.cos(2.0 * theta)
         floor = exact.min_energy_at_purity(np.array([-1.0, 1.0]), purity)
         print(f"{theta:8.4f} {bound:12.8f} {energy:12.8f} {floor:13.8f}")

@@ -31,8 +31,9 @@ for d in range(1, 14, 2):
     circ, target = circuits.brickwall_1d(n, d, theta, p, seed)
     sched = purity_schedule(n, d, p)
     dual = trace_dual.heisenberg_tebd(circ, target, bond)
-    tr = trace_dual.dual_value_trace(circ, dual, target, sched).bound
-    te = trace_dual.tebd_error_bound(circ, dual, target).bound
+    tr = trace_dual.dual_value(circ, dual, target, sched).bound
+    te = trace_dual.dual_value(circ, dual, target,
+                               purity_schedule(n, d, 0.0)).bound
     info = info_dual.info_bound(modes, n, p, d).bound
     energy = exact.dense_simulate(circ, hamiltonian=target).energy
     print(f"{d:3d} {info:10.5f} {te:11.5f} {tr:11.5f} {energy:10.5f}")

@@ -34,7 +34,7 @@ for d in (4, 8, 12, 16, 20):
     oracle = exact.stabilizer_energy(circ, terms)
     dual = trace_dual.heisenberg_tebd(circ, target, n)
     sched = purity_schedule(n, d, p)
-    bound = trace_dual.dual_value_trace(circ, dual, target, sched).bound
+    bound = trace_dual.dual_value(circ, dual, target, sched).bound
     dt = time.perf_counter() - t0
     print(f"{d:3d} {oracle:18.10f} {bound:12.6f} "
           f"{abs(bound - oracle):9.2e} {dt:6.2f}")

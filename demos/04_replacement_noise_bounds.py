@@ -46,7 +46,7 @@ for d in (1, 3, 5, 7):
     rho0 = relent_product_state(circ.initial_state, tau)
     sched = relative_entropy_schedule(circ, tau, q, rho0)
     dual = trace_dual.heisenberg_tebd(circ, target, 4**n)
-    dv = trace_dual.dual_value_nonunital(circ, dual, target, sched)
+    dv = trace_dual.dual_value(circ, dual, target, sched)
     # architecture-free comparison: uses only ||H||_F and the final cap
     h_tau = expectation_product_state(target, [tau] * n)
     arch = trace_dual.architecture_free_bound_nonunital(

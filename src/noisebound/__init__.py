@@ -10,10 +10,11 @@ Layout:
   Hamiltonians.
 - :mod:`noisebound.noise` - noise channels and the per-layer purity /
   information / distance schedules they certify.
-- :mod:`noisebound.trace_dual` - Heisenberg TEBD duals and the trace-purity,
-  truncation-error, and non-unital bounds.
+- :mod:`noisebound.trace_dual` - Heisenberg TEBD duals and ``dual_value``,
+  the one evaluator of MPO dual bounds (purity, distance and information
+  penalties, chosen by the schedule's kind).
 - :mod:`noisebound.info_dual` - entropy-based bounds (Gibbs free energies,
-  temperature-cutoff architecture-free bound, dense per-step dual).
+  the free-energy term, temperature-cutoff architecture-free bound).
 - :mod:`noisebound.fermion` - Gaussian-fermion circuits, covariance
   simulation, and gradient-optimized locality-restricted duals.
 - :mod:`noisebound.exact` - dense and stabilizer oracles for verification.
@@ -34,16 +35,14 @@ from .fermion import (FermionCircuit, FermionLayer, QuadraticOp,
                       ssh_hamiltonian_1d, ssh_hamiltonian_2d,
                       vacuum_covariance)
 from .info_dual import (DEFAULT_TEMPERATURE_CUTOFF, TwoLevelModes,
-                        dual_value_info_dense, gibbs_free_energy_dense,
-                        info_bound)
+                        gibbs_free_energy_dense, info_bound)
 from .mpo import MPO, from_pauli_sum, identity_mpo, sum_local_mpo
 from .noise import (BoundSchedule, NoiseModel, depolarizing, info_schedule,
                     max_replacement_fraction, purity_schedule,
                     relative_entropy_schedule, unital_pauli)
 from .report import BoundReport, read_csv, write_csv
-from .trace_dual import (DualValue, TebdDual, dual_value_nonunital,
-                         dual_value_trace, heisenberg_tebd, refine_dual,
-                         tebd_error_bound)
+from .trace_dual import (DualValue, TebdDual, dual_value, heisenberg_tebd,
+                         refine_dual, tebd_error_bound)
 
 __version__ = "0.1.0"
 
@@ -54,10 +53,10 @@ __all__ = [
     "NoiseModel", "BoundSchedule", "depolarizing", "unital_pauli",
     "purity_schedule", "info_schedule", "relative_entropy_schedule",
     "max_replacement_fraction",
-    "TebdDual", "DualValue", "heisenberg_tebd", "dual_value_trace",
-    "tebd_error_bound", "dual_value_nonunital", "refine_dual",
+    "TebdDual", "DualValue", "heisenberg_tebd", "dual_value",
+    "tebd_error_bound", "refine_dual",
     "DEFAULT_TEMPERATURE_CUTOFF", "TwoLevelModes", "gibbs_free_energy_dense",
-    "info_bound", "dual_value_info_dense",
+    "info_bound",
     "QuadraticOp", "FermionLayer", "FermionCircuit", "vacuum_covariance",
     "ground_state_covariance", "energy_from_covariance", "simulate_covariance",
     "ssh_hamiltonian_1d", "ssh_hamiltonian_2d", "fermion_brickwall_1d",

@@ -15,9 +15,9 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from . import exact, fermion, sweep
-from .config import ConfigError, load_config
+from .config import ConfigError, check_oracle_size, load_config
+from .mpo import MPO
 from .report import read_csv
-from .mpo import _DENSE_SITE_CAP, MPO
 
 PLOT_TEMPLATES = ("bound_vs_depth", "bound_vs_p_theta_heatmap",
                   "fermion_vs_depth")
@@ -79,6 +79,8 @@ def cmd_validate(path: str) -> int:
 
 def cmd_run(path: str, workers: int | None, force_oracle: bool) -> int:
     cfg = load_config(path)
+    if force_oracle:
+        check_oracle_size(cfg.family, cfg.n)
     reports, failures = sweep.run_experiment(cfg, workers=workers)
     print(f"wrote {len(reports)} rows to {cfg.output}")
     for line in failures:
@@ -114,10 +116,9 @@ def oracle_check(cfg, reports=None) -> list[str]:
     ``reports`` are the rows a run returned, matched to their grid point on
     (depth, theta, p); a point without rows failed and is not re-run.  With
     no reports, or for a (depth, theta, p) that the grid repeats, the
-    point's bounds are computed here."""
-    if cfg.n > _DENSE_SITE_CAP:
-        raise ValueError(f"oracle cross-check needs n <= {_DENSE_SITE_CAP}, "
-                         f"got n = {cfg.n}")
+    point's bounds are computed here.  A qubit family above the dense
+    oracle's size is refused before any point runs."""
+    check_oracle_size(cfg.family, cfg.n)
     points = sweep.expand_grid(cfg)
     repeats = Counter((pt.depth, pt.theta, pt.p) for pt in points)
     rows = defaultdict(list)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from .mpo import _DENSE_SITE_CAP
 from .report import METHODS
 
 SCHEMA_VERSION = 1
@@ -67,9 +68,13 @@ def _listify(value, path: str, kind, positive=False, allow_zero=True) -> list:
     for i, item in enumerate(items):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ConfigError(f"{path}[{i}]", f"expected {kind.__name__}, got {item!r}")
-        if isinstance(item, float) and not math.isfinite(item):
+        try:
+            as_float = float(item)
+        except OverflowError:
+            raise ConfigError(f"{path}[{i}]", "too large for a float") from None
+        if not math.isfinite(as_float):
             raise ConfigError(f"{path}[{i}]", f"must be finite, got {item!r}")
-        if kind is int and not float(item).is_integer():
+        if kind is int and not as_float.is_integer():
             raise ConfigError(f"{path}[{i}]", f"expected integer, got {item!r}")
         val = kind(item)
         if positive and val <= 0:
@@ -78,6 +83,13 @@ def _listify(value, path: str, kind, positive=False, allow_zero=True) -> list:
             raise ConfigError(f"{path}[{i}]", "must be nonnegative")
         out.append(val)
     return out
+
+
+def check_oracle_size(family: str, n: int) -> None:
+    """Only the dense oracle of the qubit families is capped in size."""
+    if family not in _FERMION_FAMILIES and n > _DENSE_SITE_CAP:
+        raise ConfigError("oracle", f"the dense oracle needs n <= "
+                          f"{_DENSE_SITE_CAP}, got n = {n}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -199,6 +211,8 @@ def parse_config(text: str) -> ExperimentConfig:
     oracle = raw.get("oracle", False)
     if not isinstance(oracle, bool):
         raise ConfigError("oracle", "must be a boolean")
+    if oracle:
+        check_oracle_size(family, n)
     timings = raw.get("timings", False)
     if not isinstance(timings, bool):
         raise ConfigError("timings", "must be a boolean")

@@ -8,7 +8,7 @@ to n <= 12 qubits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,12 +63,10 @@ def purity_and_info(rho: Array) -> tuple[float, float]:
 
 @dataclass
 class DenseRun:
-    """Output of :func:`dense_simulate`: final state plus per-step records."""
+    """Output of :func:`dense_simulate`: final state, energy, layer states."""
 
     rho: Array
     energy: float | None
-    purities: list[float] = field(default_factory=list)
-    infos: list[float] = field(default_factory=list)
     states: list[Array] | None = None
 
 
@@ -84,14 +82,14 @@ def dense_simulate(circuit: CircuitSpec, hamiltonian: MPO | Array | None = None,
     """Exact density-matrix evolution of a noisy circuit (n <= 12).
 
     Gates are applied in layer order, then the layer's noise channel acts on
-    every site.  Purity and information content are recorded after each
-    layer; the energy is evaluated against ``hamiltonian`` if given.
+    every site.  The energy is evaluated against ``hamiltonian`` if given;
+    ``keep_states`` records the state after each layer, for
+    :func:`purity_and_info` and the like.
     """
     n = circuit.n_sites
     if n > _DENSE_SITE_CAP:
         raise ValueError(f"dense simulation capped at n={_DENSE_SITE_CAP}, got {n}")
     rho = product_density_matrix(circuit.initial_state)
-    purities, infos = [], []
     states = [] if keep_states else None
     for layer in circuit.layers:
         for g in layer.gates:
@@ -99,16 +97,13 @@ def dense_simulate(circuit: CircuitSpec, hamiltonian: MPO | Array | None = None,
         k = superop_matrix(layer.noise)
         for site in range(n):
             rho = apply_channel_dense(rho, k, site, n)
-        pur, info = purity_and_info(rho)
-        purities.append(pur)
-        infos.append(info)
         if keep_states:
             states.append(rho.copy())
     energy = None
     if hamiltonian is not None:
         hmat = hamiltonian.to_dense() if isinstance(hamiltonian, MPO) else hamiltonian
         energy = float(np.trace(hmat @ rho).real)
-    return DenseRun(rho, energy, purities, infos, states)
+    return DenseRun(rho, energy, states)
 
 
 def min_energy_at_purity(energies: Array, purity_cap: float) -> float:

@@ -97,10 +97,6 @@ def _snap(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m - m.T)
 
 
-def quadratic_zero(n: int) -> QuadraticOp:
-    return QuadraticOp(np.zeros((2 * n, 2 * n)))
-
-
 def hopping_to_majorana(a: np.ndarray) -> QuadraticOp:
     """Convert a Hermitian hopping matrix (H = sum a_ij f_i^dag f_j) to
     Majorana form.  With a = R + iS the result is
@@ -177,10 +173,6 @@ def mode_energies(op: QuadraticOp) -> np.ndarray:
     const - sum eps + sum over subsets of 2 eps_x."""
     eps, _ = canonical_form(op.matrix)
     return eps
-
-
-def ground_state_energy(op: QuadraticOp) -> float:
-    return op.constant - float(np.sum(mode_energies(op)))
 
 
 def two_level_modes(op: QuadraticOp) -> TwoLevelModes:
@@ -308,12 +300,6 @@ def _orthogonal_from_generator(m: np.ndarray) -> np.ndarray:
         if idx.size > 1:
             r[np.ix_(idx, idx)] = scipy.linalg.expm(2.0 * m[np.ix_(idx, idx)])
     return r
-
-
-def evolve_covariance_unitary(gamma: np.ndarray, h_u: QuadraticOp) -> np.ndarray:
-    """gamma -> R gamma R^T with R = exp(2 m_U)."""
-    r = _orthogonal_from_generator(h_u.matrix)
-    return r @ gamma @ r.T
 
 
 def evolve_covariance_depolarizing(gamma: np.ndarray, p: float, site: int) -> np.ndarray:

@@ -1,6 +1,7 @@
-"""Entropy-based lower bounds: Gibbs free energies, the architecture-free
-information-content bound with a temperature cutoff, and the per-step
-information-content dual at dense-oracle scale.
+"""Entropy-based lower bounds: Gibbs free energies, the free-energy term
+of every entropy bound (the MPO info dual of ``trace_dual.dual_value``
+among them), and the architecture-free information-content bound with a
+temperature cutoff.
 
 Unit convention: information contents and entropies are handled in bits at
 the API surface; free energies use natural logarithms.  Every combination
@@ -20,11 +21,10 @@ import numpy as np
 import scipy.optimize
 from scipy.special import expit, logsumexp
 
-from .circuits import CircuitSpec
 from .mpo import _DENSE_SITE_CAP, MPO
-from .noise import BoundSchedule
 from .report import BoundReport
-from .trace_dual import DualValue, TebdDual, boundary_term, defect_mpos
+# probe-only: bench/tracer.py wraps ``info_dual.defect_mpos``
+from .trace_dual import defect_mpos  # noqa: F401
 
 LN2 = math.log(2.0)
 
@@ -214,35 +214,3 @@ def info_bound(h, n: int, p: float, depth: int,
         theta=0.0, seed=0, bound=val, boundary_term=val, penalty_sum=0.0,
         extra={"lambda_star": lam_star, "lambda_c": lambda_c})
 
-
-def dual_value_info_dense(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
-                          target: MPO, schedule: BoundSchedule,
-                          lambdas: list[float] | None = None) -> DualValue:
-    """Information-content dual bound, evaluated with dense per-step free
-    energies (n <= 10):
-
-        -Tr[rho_0 E_1^dag(sigma_1)]
-            + sum_t [ G(H_t, lambda_t) + lambda_t * ln2 * (N - I_t) ]
-
-    Each lambda_t is maximized independently by a concave 1-D search when
-    not supplied.  Certified for any Hermitian duals and any positive
-    lambdas, so the search only affects tightness.
-    """
-    if schedule.kind != "info":
-        raise ValueError(f"expected an info schedule, got {schedule.kind!r}")
-    if schedule.values.size != circuit.depth:
-        raise ValueError("schedule length must equal circuit depth")
-    n = circuit.n_sites
-    if n > 10:
-        raise ValueError("dense info dual capped at n=10")
-    sigmas = dual.sigmas if isinstance(dual, TebdDual) else dual
-    hs = defect_mpos(circuit, sigmas, target)
-    boundary = boundary_term(circuit, sigmas[0])
-    terms = []
-    for t, h_mpo in enumerate(hs):
-        c_nats = LN2 * (n - float(schedule.values[t]))
-        lam = None if lambdas is None else lambdas[t]
-        term, _ = free_energy_term(_spectrum(h_mpo, n), c_nats, lam)
-        terms.append(term)
-    terms = np.array(terms)
-    return DualValue(boundary + float(np.sum(terms)), boundary, -terms)

@@ -127,10 +127,6 @@ def identity_mpo(n: int) -> MPO:
     return MPO([_ID_COEFFS.reshape(1, 4, 1).copy() for _ in range(n)])
 
 
-def zero_mpo(n: int) -> MPO:
-    return MPO([np.zeros((1, 4, 1)) for _ in range(n)])
-
-
 def from_pauli_sum(terms: list[tuple[str, float]], n: int | None = None) -> MPO:
     """Build sum_k coeff_k * P_k from Pauli strings such as ``("IXZ", 0.5)``.
 
@@ -229,14 +225,6 @@ def mpo_scale(a: MPO, c: float) -> MPO:
     if np.iscomplexobj(c):
         raise ValueError(f"scale factor {c!r} must be real")
     return MPO([a.tensors[0] * float(c)] + list(a.tensors[1:]))
-
-
-def mpo_trace(a: MPO) -> float:
-    """Tr(A) = c_{I..I} * sqrt(2)^n."""
-    v = np.ones(1)
-    for t in a.tensors:
-        v = v @ (_SQRT2 * t[:, 0, :])
-    return float(v[0])
 
 
 def mpo_hs_inner(a: MPO, b: MPO) -> float:

@@ -24,8 +24,8 @@ from . import circuits, exact, fermion, info_dual, trace_dual
 from ._blas import limit_threads
 from .config import _MPO_METHODS, ExperimentConfig
 from .mpo import _DENSE_SITE_CAP, MPO
-from .noise import (NoiseModel, biased_tau, depolarizing, info_schedule,
-                    max_replacement_fraction, purity_schedule,
+from .noise import (BoundSchedule, NoiseModel, biased_tau, depolarizing,
+                    info_schedule, max_replacement_fraction, purity_schedule,
                     relative_entropy_schedule, relent_product_state,
                     unital_pauli, unital_rate)
 from .report import CSV_COLUMNS, BoundReport, write_csv
@@ -134,6 +134,20 @@ def _report(cfg: ExperimentConfig, pt: GridPoint, method: str, resource: int,
         wall_time_s=wall if cfg.timings else 0.0)
 
 
+def _mpo_schedule(cfg: ExperimentConfig, method: str, circuit) -> BoundSchedule:
+    """The caps an MPO method charges its defects against (all ones for
+    the noise-blind ``tebd_error``)."""
+    n, d = circuit.n_sites, circuit.depth
+    if method == "trace_dual":
+        return purity_schedule(n, d, unital_rate(circuit.layers[0].noise))
+    if method == "tebd_error":
+        return purity_schedule(n, d, 0.0)
+    tau = biased_tau(cfg.eps)
+    q = max_replacement_fraction(circuit.layers[0].noise, tau)
+    rho0 = relent_product_state(circuit.initial_state, tau)
+    return relative_entropy_schedule(circuit, tau, q, rho0)
+
+
 def run_point(cfg: ExperimentConfig, pt: GridPoint) -> list[BoundReport]:
     """Compute every requested method at one grid point.
 
@@ -144,28 +158,16 @@ def run_point(cfg: ExperimentConfig, pt: GridPoint) -> list[BoundReport]:
     n, d = cfg.n, pt.depth
     rows: list[BoundReport] = []
 
-    mpo_methods = [m for m in cfg.methods if m in _MPO_METHODS]
-    if mpo_methods:
-        if "trace_dual" in mpo_methods:
-            rate = unital_rate(circuit.layers[0].noise)
-            pur_sched = purity_schedule(n, d, rate)
-        if "nonunital_dual" in mpo_methods:
-            tau = biased_tau(cfg.eps)
-            q = max_replacement_fraction(circuit.layers[0].noise, tau)
-            rho0 = relent_product_state(circuit.initial_state, tau)
-            rel_sched = relative_entropy_schedule(circuit, tau, q, rho0)
+    schedules = [(m, _mpo_schedule(cfg, m, circuit))
+                 for m in cfg.methods if m in _MPO_METHODS]
+    if schedules:
         for bond in cfg.bond_dims:
             t0 = time.perf_counter()
             dual = trace_dual.heisenberg_tebd(circuit, target, bond)
             t_build = time.perf_counter() - t0
-            for method in mpo_methods:
+            for method, sched in schedules:
                 t1 = time.perf_counter()
-                if method == "trace_dual":
-                    dv = trace_dual.dual_value_trace(circuit, dual, target, pur_sched)
-                elif method == "tebd_error":
-                    dv = trace_dual.tebd_error_bound(circuit, dual, target)
-                else:
-                    dv = trace_dual.dual_value_nonunital(circuit, dual, target, rel_sched)
+                dv = trace_dual.dual_value(circuit, dual, target, sched)
                 wall = t_build + (time.perf_counter() - t1)
                 rows.append(_report(cfg, pt, method, bond, dv.bound, dv.boundary,
                                     float(np.sum(dv.penalties)), wall))

@@ -5,12 +5,12 @@ The central object is a sequence of Hermitian operators sigma_1 .. sigma_d
 (one per circuit layer, stored as MPOs).  Weak duality turns any such
 sequence into a certified lower bound on Tr(H rho_d):
 
-    h(sigma) = -Tr[rho_0 E_1^dag(sigma_1)] - sum_t sqrt(P_t Tr(H_t^2))
+    h(sigma) = -Tr[rho_0 E_1^dag(sigma_1)] - sum_t penalty_t(H_t)
 
-with defect operators H_d = H + sigma_d, H_t = sigma_t - E_{t+1}^dag(sigma_{t+1})
-and P_t the certified purity cap after step t.  Bigger defects or looser
-purity caps only make the bound weaker, never unsound, which is what lets
-the whole computation run at modest bond dimension.
+with defect operators H_d = H + sigma_d, H_t = sigma_t - E_{t+1}^dag(sigma_{t+1});
+the noise cap after step t only decides the penalty (:func:`dual_value`).
+Bigger defects or looser caps only make the bound weaker, never unsound,
+which is what lets the whole computation run at modest bond dimension.
 
 The TEBD ansatz back-propagates -H through the adjoint circuit, compressing
 to a fixed bond dimension once after every layer; the compression errors
@@ -31,7 +31,7 @@ from .mpo import (MPO, _site_coeffs, apply_depolarizing_adjoint,
                   apply_site_superop_adjoint, compress,
                   expectation_product_state, frobenius_norm, identity_mpo,
                   mpo_add, mpo_scale)
-from .noise import BoundSchedule, superop_matrix
+from .noise import BoundSchedule, purity_schedule, superop_matrix
 
 # (A + A^dag)/2 is A for every MPO; the name is kept only because the
 # benchmark tracer (bench/tracer.py) probes ``trace_dual.symmetrize``.
@@ -135,13 +135,6 @@ def explicit_defect_norms(circuit: CircuitSpec, sigmas: list[MPO],
     return np.array([frobenius_norm(h) for h in defect_mpos(circuit, sigmas, target)])
 
 
-def _defect_norms(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
-                  target: MPO) -> tuple[list[MPO], np.ndarray]:
-    if isinstance(dual, TebdDual):
-        return dual.sigmas, dual.step_defects
-    return dual, explicit_defect_norms(circuit, dual, target)
-
-
 @dataclass
 class DualValue:
     """A certified lower bound split as ``bound = boundary - penalties``."""
@@ -151,65 +144,64 @@ class DualValue:
     penalties: np.ndarray
 
 
-def dual_value_trace(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
-                     target: MPO, schedule: BoundSchedule) -> DualValue:
-    """Trace-purity dual bound for a purity schedule P_1 .. P_d.
+def dual_value(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
+               target: MPO, schedule: BoundSchedule,
+               lambdas: list[float] | None = None) -> DualValue:
+    """Certified bound -Tr[rho_0 E_1^dag(sigma_1)] - sum_t penalty_t, the
+    penalty on each defect H_t chosen by the schedule's kind:
 
-    penalty_t = sqrt(P_t) * ||H_t||_F; passing a :class:`TebdDual` reuses
-    the recorded compression errors as the defect norms, which
-    upper-bound the true norms and therefore keep the bound certified.
+    - ``purity`` caps P_t: sqrt(P_t) ||H_t||_F;
+    - ``frobenius_distance`` caps d_t: d_t ||H_t||_F - Tr(H_t tau^xN);
+    - ``info`` caps I_t (bits, n <= 10): -max_lambda [lambda ln2 (N - I_t)
+      - lambda ln Tr exp(-H_t / lambda)], or its value at ``lambdas[t]``.
+
+    Defects are built at most once.  A :class:`TebdDual` supplies its
+    recorded compression errors as the norms ||H_t||_F (upper bounds, so
+    still certified), and under a purity schedule needs no defect at all.
     """
-    if schedule.kind != "purity":
-        raise ValueError(f"expected a purity schedule, got {schedule.kind!r}")
-    if schedule.values.size != circuit.depth:
+    kind, caps, n = schedule.kind, schedule.values, circuit.n_sites
+    if kind not in ("purity", "frobenius_distance", "info"):
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    if caps.size != circuit.depth:
         raise ValueError("schedule length must equal circuit depth")
-    sigmas, norms = _defect_norms(circuit, dual, target)
+    if kind == "info" and n > 10:
+        raise ValueError("the info dual uses dense free energies, capped at n=10")
+    recorded = isinstance(dual, TebdDual)
+    sigmas = dual.sigmas if recorded else dual
+    hs = None if recorded and kind == "purity" else defect_mpos(circuit, sigmas, target)
     boundary = boundary_term(circuit, sigmas[0])
-    penalties = np.sqrt(schedule.values) * norms
+    if kind == "info":
+        # function-local: info_dual imports this module
+        from .info_dual import LN2, _spectrum, free_energy_term
+        penalties = -np.array([
+            free_energy_term(_spectrum(h, n), LN2 * (n - float(cap)),
+                             None if lambdas is None else lambdas[t])[0]
+            for t, (h, cap) in enumerate(zip(hs, caps))])
+    else:
+        norms = (dual.step_defects if recorded
+                 else np.array([frobenius_norm(h) for h in hs]))
+        if kind == "purity":
+            penalties = np.sqrt(caps) * norms
+        else:
+            taus = [schedule.meta["tau"]] * n
+            penalties = caps * norms - np.array(
+                [expectation_product_state(h, taus) for h in hs])
     return DualValue(boundary - float(np.sum(penalties)), boundary, penalties)
+
+
+# bench/tracer.py probes these names and bench/workloads.py calls the
+# first; both are dual_value.
+dual_value_trace = dual_value
+dual_value_nonunital = dual_value
 
 
 def tebd_error_bound(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
                      target: MPO) -> DualValue:
-    """Naive truncation-error bound: the trace-purity dual with every
-    purity cap replaced by 1.
-
-    Each penalty is then sqrt(P_t) <= 1 times the corresponding
-    trace-purity penalty, so this bound is dominated by
-    :func:`dual_value_trace` term by term; it is what plain
-    Heisenberg TEBD error accounting would give without any noise
-    information.
-    """
-    return dual_value_trace(circuit, dual, target,
-                            BoundSchedule("purity", np.ones(circuit.depth)))
-
-
-def dual_value_nonunital(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
-                         target: MPO, schedule: BoundSchedule) -> DualValue:
-    """Dual bound for non-unital noise with fixed point tau.
-
-    Uses Frobenius-distance caps d_t >= ||rho_t - tau^xN||_F:
-
-        h = -Tr[rho_0 E_1^dag(sigma_1)]
-            + sum_t [ Tr(H_t tau^xN) - d_t ||H_t||_F ]
-
-    The tau expectations are evaluated exactly on the explicit defect
-    operators; for a :class:`TebdDual` the norms come from the recorded
-    compression errors (an upper bound, hence still certified).
-    """
-    if schedule.kind != "frobenius_distance":
-        raise ValueError(
-            f"expected a frobenius_distance schedule, got {schedule.kind!r}")
-    if schedule.values.size != circuit.depth:
-        raise ValueError("schedule length must equal circuit depth")
-    tau = schedule.meta["tau"]
-    sigmas, norms = _defect_norms(circuit, dual, target)
-    hs = defect_mpos(circuit, sigmas, target)
-    taus = [tau] * circuit.n_sites
-    tau_terms = np.array([expectation_product_state(h, taus) for h in hs])
-    boundary = boundary_term(circuit, sigmas[0])
-    penalties = schedule.values * norms - tau_terms
-    return DualValue(boundary - float(np.sum(penalties)), boundary, penalties)
+    """Naive truncation-error bound: the purity dual with every cap 1, what
+    plain Heisenberg TEBD error accounting gives without noise information.
+    The purity dual dominates it term by term."""
+    return dual_value(circuit, dual, target,
+                      purity_schedule(circuit.n_sites, circuit.depth, 0.0))
 
 
 def architecture_free_bound_nonunital(target_tau_energy: float,
@@ -253,7 +245,7 @@ def refine_dual(circuit: CircuitSpec, dual: TebdDual, target: MPO,
 
     Each round picks a random (layer, site) pair and a random Hermitian
     single-site direction, estimates the directional derivative of the
-    trace-purity dual value by central finite differences, and line-searches
+    dual value under ``schedule`` by central finite differences, and line-searches
     along the ascent direction with halving steps.  A candidate replaces
     the current sequence only if its (explicitly re-evaluated) dual value
     strictly improves, so the returned value history is non-decreasing.
@@ -262,15 +254,13 @@ def refine_dual(circuit: CircuitSpec, dual: TebdDual, target: MPO,
     evaluation; the stored defect norms are recomputed explicitly since the
     TEBD error bookkeeping no longer applies to a perturbed sequence.
     """
-    if schedule.kind != "purity":
-        raise ValueError(f"expected a purity schedule, got {schedule.kind!r}")
     max_bond = int(dual.meta.get("max_bond", max(
         max(s.bond_dims) if s.bond_dims else 1 for s in dual.sigmas)))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     n, d = circuit.n_sites, circuit.depth
 
     def evaluate(sigmas: list[MPO]) -> float:
-        return dual_value_trace(circuit, sigmas, target, schedule).bound
+        return dual_value(circuit, sigmas, target, schedule).bound
 
     sigmas = [s.copy() for s in dual.sigmas]
     best = evaluate(sigmas)

@@ -57,8 +57,9 @@ def test_single_layer_purity_formula():
     """One depolarizing layer on a pure qubit: P = p^2/4 + (1 - p/2)^2."""
     for p in (0.05, 0.1, 0.3):
         circ, _ = single_qubit_circuit(0.4, p)
-        run = dense_simulate(circ)
-        assert abs(run.purities[0] - (p**2 / 4 + (1 - p / 2) ** 2)) < 1e-12
+        run = dense_simulate(circ, keep_states=True)
+        pur, _ = purity_and_info(run.states[0])
+        assert abs(pur - (p**2 / 4 + (1 - p / 2) ** 2)) < 1e-12
 
 
 def test_dense_state_invariants():
@@ -70,7 +71,8 @@ def test_dense_state_invariants():
         assert np.linalg.eigvalsh(rho).min() > -1e-10
     # depolarizing noise only mixes: purity never increases across layers
     # for this family's mirror second half either
-    assert run.purities[-1] <= run.purities[0] + 1e-10
+    purities = [purity_and_info(rho)[0] for rho in run.states]
+    assert purities[-1] <= purities[0] + 1e-10
 
 
 def test_dense_rejects_large_n():

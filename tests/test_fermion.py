@@ -30,21 +30,18 @@ from noisebound.fermion import (
     default_fermion_initial_duals,
     energy_from_covariance,
     evolve_covariance_depolarizing,
-    evolve_covariance_unitary,
     fermion_brickwall_1d,
     fermion_brickwall_2d,
     fermionic_dual_value,
     fermionic_free_energy,
     grid_coords,
     ground_state_covariance,
-    ground_state_energy,
     heisenberg_quadratic_step,
     hopping_to_majorana,
     locality_mask,
     mode_energies,
     optimize_fermionic_dual,
     project_local,
-    quadratic_zero,
     scaled_to_unit_interval,
     simulate_covariance,
     ssh_hamiltonian_1d,
@@ -201,7 +198,7 @@ def test_ground_state_energy_vs_fock():
     op = random_op(n, 6, constant=-0.2)
     dense = majorana_quadratic_dense(op.matrix, jordan_wigner_majoranas(n),
                                      op.constant)
-    assert abs(ground_state_energy(op) - np.linalg.eigvalsh(dense)[0]) < 1e-9
+    assert abs(two_level_modes(op).offset - np.linalg.eigvalsh(dense)[0]) < 1e-9
 
 
 def test_scaled_to_unit_interval():
@@ -228,7 +225,7 @@ def test_ground_covariance_energy():
     op = random_op(n, 8, constant=0.1)
     g = ground_state_covariance(op)
     check_covariance(g)
-    assert abs(energy_from_covariance(g, op) - ground_state_energy(op)) < 1e-10
+    assert abs(energy_from_covariance(g, op) - two_level_modes(op).offset) < 1e-10
 
 
 def test_thermal_covariance_vs_fock():
@@ -277,7 +274,7 @@ def test_unitary_evolution_vs_fock():
     c = jordan_wigner_majoranas(n)
     u = scipy.linalg.expm(-1j * majorana_quadratic_dense(gen.matrix, c))
     rho = u @ dense_vacuum(n) @ u.conj().T
-    got = evolve_covariance_unitary(vacuum_covariance(n), gen)
+    got = covariance_layer_step(vacuum_covariance(n), FermionLayer(gen))
     check_covariance(got)
     assert np.abs(got - dense_covariance(rho, c)).max() < 1e-10
 
@@ -285,7 +282,7 @@ def test_unitary_evolution_vs_fock():
 def test_depolarizing_evolution_vs_fock():
     n, site, p = 3, 1, 0.35
     gen = random_op(n, 13)
-    g0 = evolve_covariance_unitary(vacuum_covariance(n), gen)  # entangled input
+    g0 = covariance_layer_step(vacuum_covariance(n), FermionLayer(gen))  # entangled input
     c = jordan_wigner_majoranas(n)
     u = scipy.linalg.expm(-1j * majorana_quadratic_dense(gen.matrix, c))
     rho = u @ dense_vacuum(n) @ u.conj().T
@@ -377,7 +374,7 @@ def test_layer_map_is_cached_orthogonal_expm():
     is orthogonal, and is built once."""
     circ, _ = fermion_brickwall_1d(8, 4, 0.1, 44)
     layers = circ.layers + [FermionLayer(random_op(8, 45), 0.1),
-                            FermionLayer(quadratic_zero(8), 0.1)]
+                            FermionLayer(QuadraticOp(np.zeros((16, 16))), 0.1)]
     for layer in layers:
         r = layer.orthogonal_map()
         want = scipy.linalg.expm(2.0 * layer.generator.matrix)
@@ -416,7 +413,7 @@ def test_layer_map_never_stale():
 
 def test_ssh_1d_spectrum_unit_interval():
     op = ssh_hamiltonian_1d(8)
-    assert abs(ground_state_energy(op)) < 1e-10
+    assert abs(two_level_modes(op).offset) < 1e-10
     assert abs(two_level_modes(op).spectrum().max() - 1.0) < 1e-10
 
 
@@ -431,7 +428,7 @@ def test_ssh_1d_dimerized_limit():
 def test_ssh_2d_shapes_and_spectrum():
     op = ssh_hamiltonian_2d(3, 2)
     assert op.n_modes == 6
-    assert abs(ground_state_energy(op)) < 1e-10
+    assert abs(two_level_modes(op).offset) < 1e-10
     assert abs(two_level_modes(op).spectrum().max() - 1.0) < 1e-10
     assert grid_coords(3, 2) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     assert chain_coords(3) == [(0,), (1,), (2,)]
@@ -524,7 +521,7 @@ def ops_with_zero_modes(n: int, seed: int) -> list[QuadraticOp]:
     Majoranas (so with exact zero modes), plus the zero operator."""
     rng = np.random.default_rng(seed)
     ops = [QuadraticOp(random_antisym(2 * n, rng), 0.4),
-           quadratic_zero(n)]
+           QuadraticOp(np.zeros((2 * n, 2 * n)))]
     for keep in (1, 2, n - 1):
         mask = np.zeros(n, bool)
         mask[rng.choice(n, size=keep, replace=False)] = True
@@ -562,7 +559,7 @@ def test_dual_value_gibbs_matches_thermal_covariance():
     n = circ.n_modes
     candidates = [
         [random_op(n, 60 + t).scaled(0.3) for t in range(circ.depth)],
-        [quadratic_zero(n) for _ in range(circ.depth)],
+        [QuadraticOp(np.zeros((2 * n, 2 * n))) for _ in range(circ.depth)],
         ops_with_zero_modes(n, 61)[2:2 + circ.depth - 1] + [-target],
     ]
     for s_list in candidates:
@@ -611,7 +608,8 @@ def test_dual_value_zero_duals_reduce_to_info_floor():
     """All-zero duals leave only the final free-energy term, which is the
     architecture-free information bound (with a wider lambda range)."""
     circ, target, sched, energy = fermion_setup()
-    zeros = [quadratic_zero(circ.n_modes) for _ in range(circ.depth)]
+    m = 2 * circ.n_modes
+    zeros = [QuadraticOp(np.zeros((m, m))) for _ in range(circ.depth)]
     val = fermionic_dual_value(zeros, circ, target, sched)
     assert val.bound <= energy + 1e-8
     floor = info_bound(two_level_modes(target), circ.n_modes, 0.08,

@@ -19,7 +19,6 @@ from noisebound.info_dual import (
     LN2,
     TwoLevelModes,
     chain_benchmark_modes,
-    dual_value_info_dense,
     free_energy_term,
     gibbs_free_energy_dense,
     golden_section_max,
@@ -27,7 +26,7 @@ from noisebound.info_dual import (
 )
 from noisebound.mpo import random_mpo
 from noisebound.noise import info_schedule
-from noisebound.trace_dual import heisenberg_tebd
+from noisebound.trace_dual import dual_value, heisenberg_tebd
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +247,7 @@ def test_info_dual_exact_chain_is_nearly_tight():
     circ, target = brickwall_1d(n, d, 0.3, p, 19)
     dual = heisenberg_tebd(circ, target, max_bond=4**n)
     sched = info_schedule(n, d, p)
-    val = dual_value_info_dense(circ, dual, target, sched)
+    val = dual_value(circ, dual, target, sched)
     energy = dense_simulate(circ, hamiltonian=target).energy
     assert val.bound <= energy + 1e-8
     # zero defects: each step contributes max_lam of a nonpositive linear
@@ -263,7 +262,7 @@ def test_info_dual_sound_for_random_duals(seed):
     energy = dense_simulate(circ, hamiltonian=target).energy
     rng = np.random.default_rng(seed)
     sigmas = [random_mpo(n, 2, rng) for _ in range(d)]
-    val = dual_value_info_dense(circ, sigmas, target, info_schedule(n, d, p))
+    val = dual_value(circ, sigmas, target, info_schedule(n, d, p))
     assert val.bound <= energy + 1e-8
 
 
@@ -278,7 +277,7 @@ def test_info_dual_sound_to_roundoff():
         for bond in (1, 2, 4**n):
             dual = heisenberg_tebd(circ, target, max_bond=bond)
             for lambdas in (None, [0.5] * d):
-                val = dual_value_info_dense(circ, dual, target, sched, lambdas)
+                val = dual_value(circ, dual, target, sched, lambdas)
                 assert val.bound <= energy + 1e-12
 
 
@@ -287,17 +286,8 @@ def test_info_dual_fixed_lambdas_never_beat_optimized():
     circ, target = brickwall_1d(n, d, 0.3, p, 23)
     dual = heisenberg_tebd(circ, target, max_bond=2)
     sched = info_schedule(n, d, p)
-    best = dual_value_info_dense(circ, dual, target, sched)
+    best = dual_value(circ, dual, target, sched)
     for lam in (0.05, 1.0, 40.0):
-        fixed = dual_value_info_dense(circ, dual, target, sched,
-                                      lambdas=[lam] * d)
+        fixed = dual_value(circ, dual, target, sched,
+                           lambdas=[lam] * d)
         assert fixed.bound <= best.bound + 1e-10
-
-
-def test_info_dual_requires_info_schedule():
-    from noisebound.noise import purity_schedule
-    n, d, p = 3, 3, 0.1
-    circ, target = brickwall_1d(n, d, 0.2, p, 29)
-    dual = heisenberg_tebd(circ, target, max_bond=2)
-    with pytest.raises(ValueError):
-        dual_value_info_dense(circ, dual, target, purity_schedule(n, d, p))

@@ -26,13 +26,11 @@ from noisebound.mpo import (
     mpo_add,
     mpo_hs_inner,
     mpo_scale,
-    mpo_trace,
     random_mpo,
     sum_local_mpo,
-    zero_mpo,
 )
 from noisebound.noise import depolarizing, purity_schedule, superop_matrix
-from noisebound.trace_dual import dual_value_trace, heisenberg_tebd
+from noisebound.trace_dual import dual_value, heisenberg_tebd
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -109,7 +107,7 @@ def test_sum_local_with_constant():
 
 def test_identity_and_zero():
     assert np.allclose(identity_mpo(3).to_dense(), np.eye(8))
-    assert np.abs(zero_mpo(3).to_dense()).max() == 0.0
+    assert np.abs(mpo_scale(identity_mpo(3), 0.0).to_dense()).max() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +140,7 @@ def test_trace_inner_norm_vs_dense():
     a = rand_herm_mpo(4, 3, 5)
     b = rand_herm_mpo(4, 3, 6)
     ad, bd = a.to_dense(), b.to_dense()
-    assert abs(mpo_trace(a) - np.trace(ad)) < 1e-11
+    assert abs(mpo_hs_inner(a, identity_mpo(4)) - np.trace(ad)) < 1e-11
     assert abs(mpo_hs_inner(a, b) - np.trace(ad.conj().T @ bd)) < 1e-10
     assert abs(frobenius_norm(a) - np.linalg.norm(ad)) < 1e-10
 
@@ -341,7 +339,7 @@ def test_tebd_trace_dual_pinned(bond, expected):
     pinned to the value computed with SVD-split gate adjoints."""
     circ, target = brickwall_1d(8, 7, 0.1, 0.1, 3)
     dual = heisenberg_tebd(circ, target, bond)
-    bound = dual_value_trace(circ, dual, target, purity_schedule(8, 7, 0.1)).bound
+    bound = dual_value(circ, dual, target, purity_schedule(8, 7, 0.1)).bound
     assert abs(bound - expected) < 1e-9
 
 

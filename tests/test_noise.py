@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisebound.circuits import GateOp, Layer, CircuitSpec, zz_gate, brickwall_1d
-from noisebound.exact import dense_simulate, product_density_matrix
+from noisebound.exact import dense_simulate, product_density_matrix, purity_and_info
 from noisebound.noise import (
     biased_tau,
     choi_matrix,
@@ -180,9 +180,10 @@ def test_purity_schedule_dominates_dense(seed, p, depth):
     depolarized brick-wall evolution."""
     n = 4
     circ, _ = brickwall_1d(n, 2 * depth - 1, 0.4, p, seed)
-    run = dense_simulate(circ)
+    run = dense_simulate(circ, keep_states=True)
     sched = purity_schedule(n, circ.depth, p)
-    for t, pur in enumerate(run.purities):
+    for t, rho in enumerate(run.states):
+        pur, _ = purity_and_info(rho)
         assert pur <= sched.values[t] + 1e-10
 
 
@@ -190,9 +191,10 @@ def test_info_schedule_dominates_dense():
     for seed in range(5):
         n, p = 4, 0.15
         circ, _ = brickwall_1d(n, 5, 0.3, p, seed)
-        run = dense_simulate(circ)
+        run = dense_simulate(circ, keep_states=True)
         sched = info_schedule(n, circ.depth, p)
-        for t, info in enumerate(run.infos):
+        for t, rho in enumerate(run.states):
+            _, info = purity_and_info(rho)
             assert info <= sched.values[t] + 1e-10
 
 

@@ -6,14 +6,18 @@ regardless of worker count, with exact float round trips through every
 serialization boundary.
 """
 
+import copy
 import os
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from noisebound import cli, sweep
 from noisebound.config import (
     ConfigError,
+    ExperimentConfig,
     load_config,
     parse_config,
     serialize_config,
@@ -178,6 +182,66 @@ def test_config_rejects_bad_values(tmp_path, old, new, field):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.path == field
+
+
+BIG = "1" * 401
+
+
+@pytest.mark.parametrize("old,new,field", [
+    ("depth: [1, 3]", f"depth: [{BIG}]", "circuit.depth[0]"),
+    ("theta: [0.1]", f"theta: [0.1, {BIG}]", "circuit.theta[1]"),
+    ("bond_dims: [4]", f"bond_dims: [{BIG}]", "ansatz.bond_dims[0]"),
+], ids=["depth", "theta", "bond_dims"])
+def test_config_rejects_ints_too_large_for_a_float(tmp_path, capsys, old, new,
+                                                   field):
+    path, _ = write_config(tmp_path, BASE_YAML.replace(old, new))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.path == field
+    assert cli.main(["validate", path]) == 2
+    assert field in capsys.readouterr().err
+
+
+DEMO_YAML = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                         "chain_sweep.yaml")
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaves(child, path + (key,))]
+
+
+with open(DEMO_YAML, encoding="utf-8") as _fh:
+    _DEMO = yaml.safe_load(_fh)
+_DEMO_LEAVES = _leaves(_DEMO)
+_LEAF_VALUES = st.one_of(
+    st.integers(-10, 100), st.integers(10**308, 10**400),
+    st.integers(-(10**400), -(10**308)), st.floats(allow_nan=True),
+    st.booleans(), st.none(), st.text(max_size=8),
+    st.lists(st.one_of(st.integers(-3, 20), st.floats(), st.text(max_size=3)),
+             max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_DEMO_LEAVES), _LEAF_VALUES)
+def test_config_one_bad_leaf_is_a_value_error(leaf, value):
+    """Any one leaf of the demo config replaced by an arbitrary value: the
+    parser returns a config or raises ValueError, never anything else."""
+    raw = copy.deepcopy(_DEMO)
+    node = raw
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    try:
+        cfg = parse_config(yaml.safe_dump(raw))
+    except ValueError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 def test_config_nonunital_compatibility(tmp_path):
@@ -441,3 +505,31 @@ def test_run_oracle_flags_a_planted_bound(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("ORACLE") == 1
     assert "bound 1.5 exceeds exact energy" in err
+
+
+def test_dense_oracle_size_checked_before_any_point(tmp_path, monkeypatch, capsys):
+    """A qubit family above the dense oracle's size: ``oracle: true`` is a
+    config error, and ``run --oracle`` and ``oracle-check`` refuse before
+    any grid point runs."""
+    big = BASE_YAML.replace("n: 3", "n: 13")
+    path, _ = write_config(tmp_path, big + "oracle: true\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.path == "oracle"
+    assert cli.main(["validate", path]) == 2
+    calls = []
+    monkeypatch.setattr(sweep, "run_point", lambda cfg_, pt: calls.append(pt) or [])
+    path, _ = write_config(tmp_path, big, name="big.yaml")
+    assert cli.main(["run", path, "--oracle"]) == 2
+    assert cli.main(["oracle-check", path]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.count("config error: oracle:") == 3
+
+
+def test_fermion_oracle_has_no_size_cap(tmp_path, capsys):
+    """The covariance oracle of a fermion family runs at any size."""
+    text = (FERMION_YAML.replace("n: 6", "n: 16").replace("[2, 4]", "[2]")
+            .replace("radii: [0, 1]", "radii: [0]") + "oracle: true\n")
+    path, _ = write_config(tmp_path, text)
+    assert cli.main(["run", path]) == 0
+    assert "oracle cross-check passed" in capsys.readouterr().out

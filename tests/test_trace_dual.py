@@ -26,8 +26,7 @@ from noisebound.trace_dual import (
     architecture_free_bound_nonunital,
     boundary_term,
     defect_mpos,
-    dual_value_nonunital,
-    dual_value_trace,
+    dual_value,
     explicit_defect_norms,
     heisenberg_tebd,
     refine_dual,
@@ -53,7 +52,7 @@ def test_exact_chain_is_tight():
     circ, target = brickwall_1d(n, d, 0.3, p, 0)
     dual = heisenberg_tebd(circ, target, max_bond=4**n)
     assert np.all(dual.step_defects < 1e-10)
-    val = dual_value_trace(circ, dual, target, purity_schedule(n, d, p))
+    val = dual_value(circ, dual, target, purity_schedule(n, d, p))
     energy = dense_simulate(circ, hamiltonian=target).energy
     assert abs(val.bound - energy) < 1e-9
     # tight means the penalties vanished, not that they cancelled
@@ -132,7 +131,7 @@ def test_dual_value_decomposition():
     n, d, p = 4, 5, 0.15
     circ, target = brickwall_1d(n, d, 0.25, p, 9)
     dual = heisenberg_tebd(circ, target, max_bond=4)
-    val = dual_value_trace(circ, dual, target, purity_schedule(n, d, p))
+    val = dual_value(circ, dual, target, purity_schedule(n, d, p))
     assert val.bound == val.boundary - float(np.sum(val.penalties))
     assert np.all(val.penalties >= 0.0)
 
@@ -149,7 +148,7 @@ def test_trace_bound_sound_for_random_duals(seed):
     energy = dense_simulate(circ, hamiltonian=target).energy
     sched = purity_schedule(n, d, p)
     sigmas = random_dual(circ, 3, seed)
-    val = dual_value_trace(circ, sigmas, target, sched)
+    val = dual_value(circ, sigmas, target, sched)
     assert val.bound <= energy + 1e-8
 
 
@@ -159,7 +158,7 @@ def test_tebd_bound_sound_and_improves_with_bond(bond):
     circ, target = brickwall_1d(n, d, 0.25, p, 42)
     energy = dense_simulate(circ, hamiltonian=target).energy
     dual = heisenberg_tebd(circ, target, max_bond=bond)
-    val = dual_value_trace(circ, dual, target, purity_schedule(n, d, p))
+    val = dual_value(circ, dual, target, purity_schedule(n, d, p))
     assert val.bound <= energy + 1e-8
 
 
@@ -169,7 +168,7 @@ def test_tebd_error_dominated_termwise():
     n, d, p = 4, 7, 0.1
     circ, target = brickwall_1d(n, d, 0.2, p, 11)
     dual = heisenberg_tebd(circ, target, max_bond=3)
-    tr = dual_value_trace(circ, dual, target, purity_schedule(n, d, p))
+    tr = dual_value(circ, dual, target, purity_schedule(n, d, p))
     te = tebd_error_bound(circ, dual, target)
     assert te.boundary == tr.boundary
     assert np.all(te.penalties >= tr.penalties)
@@ -196,17 +195,17 @@ def test_nonunital_bound_sound(seed):
     circ, target, tau, sched = nonunital_setup(seed)
     energy = dense_simulate(circ, hamiltonian=target).energy
     dual = heisenberg_tebd(circ, target, max_bond=4)
-    val = dual_value_nonunital(circ, dual, target, sched)
+    val = dual_value(circ, dual, target, sched)
     assert val.bound <= energy + 1e-8
     sigmas = random_dual(circ, 2, seed)
-    val2 = dual_value_nonunital(circ, sigmas, target, sched)
+    val2 = dual_value(circ, sigmas, target, sched)
     assert val2.bound <= energy + 1e-8
 
 
 def test_nonunital_exact_chain_dominates_architecture_free():
     circ, target, tau, sched = nonunital_setup(3)
     dual = heisenberg_tebd(circ, target, max_bond=4**4)
-    val = dual_value_nonunital(circ, dual, target, sched)
+    val = dual_value(circ, dual, target, sched)
     taus = [tau] * circ.n_sites
     from noisebound.mpo import expectation_product_state
     tau_energy = expectation_product_state(target, taus)
@@ -227,19 +226,43 @@ def test_architecture_free_formula():
     assert got == pytest.approx(0.8 - sched.values[-1] ** 2 / 2.0)
 
 
-def test_schedule_kind_mismatch_raises():
+def test_bad_schedules_raise():
+    """An unknown kind, a schedule of the wrong length, and the info kind
+    above its dense limit are refused."""
+    from noisebound.noise import BoundSchedule, info_schedule
     n, d, p = 3, 3, 0.1
     circ, target = brickwall_1d(n, d, 0.2, p, 12)
     dual = heisenberg_tebd(circ, target, max_bond=2)
-    with pytest.raises(ValueError):
-        dual_value_trace(circ, dual, target,
-                         relative_entropy_schedule(
-                             brickwall_1d(n, d, 0.0, p, 0,
-                                          noise=replacement(p, biased_tau(0.0)),
-                                          entangler=zz_gate)[0],
-                             biased_tau(0.0), p, 1.0))
-    with pytest.raises(ValueError):
-        dual_value_nonunital(circ, dual, target, purity_schedule(n, d, p))
+    with pytest.raises(ValueError, match="unknown schedule kind"):
+        dual_value(circ, dual, target, BoundSchedule("entropy", np.ones(d)))
+    for sched in (purity_schedule(n, d + 1, p), info_schedule(n, d - 1, p)):
+        with pytest.raises(ValueError, match="schedule length"):
+            dual_value(circ, dual, target, sched)
+    big, big_target = brickwall_1d(11, 1, 0.2, p, 12)
+    with pytest.raises(ValueError, match="n=10"):
+        dual_value(big, heisenberg_tebd(big, big_target, max_bond=1),
+                   big_target, info_schedule(11, 1, p))
+
+
+def test_defects_built_once(monkeypatch):
+    """A list dual under a distance schedule builds its defects once, for
+    both the norms and the fixed-point terms; a TEBD dual under a purity
+    schedule needs none."""
+    import noisebound.trace_dual as td
+    circ, target, tau, sched = nonunital_setup(0)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return defect_mpos(*args)
+
+    monkeypatch.setattr(td, "defect_mpos", counted)
+    dual_value(circ, random_dual(circ, 2, 0), target, sched)
+    assert len(calls) == 1
+    calls.clear()
+    dual = heisenberg_tebd(circ, target, max_bond=2)
+    dual_value(circ, dual, target, purity_schedule(circ.n_sites, circ.depth, 0.1))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +274,11 @@ def test_refine_dual_monotone_and_sound():
     circ, target = brickwall_1d(n, d, 0.3, p, 13)
     sched = purity_schedule(n, d, p)
     dual = heisenberg_tebd(circ, target, max_bond=2)
-    start = dual_value_trace(circ, dual, target, sched).bound
+    start = dual_value(circ, dual, target, sched).bound
     refined, history = refine_dual(circ, dual, target, sched, rounds=10, seed=0)
     assert history[0] == pytest.approx(start)
     assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
-    end = dual_value_trace(circ, refined, target, sched).bound
+    end = dual_value(circ, refined, target, sched).bound
     assert end == pytest.approx(history[-1])
     assert end >= start - 1e-12
     energy = dense_simulate(circ, hamiltonian=target).energy
