@@ -291,3 +291,18 @@ def test_info_dual_fixed_lambdas_never_beat_optimized():
         fixed = dual_value(circ, dual, target, sched,
                            lambdas=[lam] * d)
         assert fixed.bound <= best.bound + 1e-10
+
+
+def test_info_dual_requires_info_schedule():
+    """The free-energy penalty needs an info schedule that matches the
+    circuit's depth, on at most 10 sites (dense free energies)."""
+    n, d, p = 3, 3, 0.1
+    circ, target = brickwall_1d(n, d, 0.2, p, 29)
+    dual = heisenberg_tebd(circ, target, max_bond=2)
+    for depth in (d - 1, d + 1):
+        with pytest.raises(ValueError, match="schedule length"):
+            dual_value(circ, dual, target, info_schedule(n, depth, p))
+    big, big_target = brickwall_1d(11, 1, 0.2, p, 29)
+    with pytest.raises(ValueError, match="n=10"):
+        dual_value(big, heisenberg_tebd(big, big_target, max_bond=1),
+                   big_target, info_schedule(11, 1, p))

@@ -226,22 +226,20 @@ def test_architecture_free_formula():
     assert got == pytest.approx(0.8 - sched.values[-1] ** 2 / 2.0)
 
 
-def test_bad_schedules_raise():
-    """An unknown kind, a schedule of the wrong length, and the info kind
-    above its dense limit are refused."""
-    from noisebound.noise import BoundSchedule, info_schedule
+def test_schedule_kind_mismatch_raises():
+    """An unknown kind and a schedule of the wrong length are refused by
+    dual_value, and the architecture-free non-unital bound refuses any
+    kind but frobenius_distance."""
+    from noisebound.noise import BoundSchedule
     n, d, p = 3, 3, 0.1
     circ, target = brickwall_1d(n, d, 0.2, p, 12)
     dual = heisenberg_tebd(circ, target, max_bond=2)
     with pytest.raises(ValueError, match="unknown schedule kind"):
         dual_value(circ, dual, target, BoundSchedule("entropy", np.ones(d)))
-    for sched in (purity_schedule(n, d + 1, p), info_schedule(n, d - 1, p)):
-        with pytest.raises(ValueError, match="schedule length"):
-            dual_value(circ, dual, target, sched)
-    big, big_target = brickwall_1d(11, 1, 0.2, p, 12)
-    with pytest.raises(ValueError, match="n=10"):
-        dual_value(big, heisenberg_tebd(big, big_target, max_bond=1),
-                   big_target, info_schedule(11, 1, p))
+    with pytest.raises(ValueError, match="schedule length"):
+        dual_value(circ, dual, target, purity_schedule(n, d + 1, p))
+    with pytest.raises(ValueError, match="frobenius_distance"):
+        architecture_free_bound_nonunital(0.8, 1.0, purity_schedule(n, d, p))
 
 
 def test_defects_built_once(monkeypatch):
