@@ -23,6 +23,10 @@ FAMILIES = ("single_qubit", "brickwall_1d", "brickwall_2d", "clifford",
 NOISE_MODELS = ("depolarizing", "unital_pauli", "nonunital")
 _FERMION_FAMILIES = ("fermion_1d", "fermion_2d")
 _MPO_METHODS = ("trace_dual", "tebd_error", "nonunital_dual")
+# families whose target spectrum is known in closed form at any n; the
+# others' spectrum methods diagonalize the target, so need n <= the dense cap
+_ANALYTIC_SPECTRUM_FAMILIES = ("single_qubit", "brickwall_1d", "clifford",
+                               "fermion_1d", "fermion_2d")
 
 
 class ConfigError(ValueError):
@@ -182,6 +186,12 @@ def parse_config(text: str) -> ExperimentConfig:
                 and model == "nonunital":
             raise ConfigError(f"methods[{i}]",
                               f"{m} requires a unital noise model")
+        if m in ("info_only", "purity_only") and n > _DENSE_SITE_CAP \
+                and family not in _ANALYTIC_SPECTRUM_FAMILIES:
+            raise ConfigError(f"methods[{i}]",
+                              f"{m} needs the spectrum of the {family} target, "
+                              f"available only for n <= {_DENSE_SITE_CAP}; "
+                              f"got n = {n}")
     if family in _FERMION_FAMILIES and model != "depolarizing":
         raise ConfigError("noise.model", "fermion families support depolarizing only")
 
@@ -190,6 +200,15 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("ansatz", "must be a mapping")
     bond_dims = ansatz.get("bond_dims", [])
     bond_dims = _listify(bond_dims, "ansatz.bond_dims", int, positive=True) if bond_dims else []
+    half = n // 2
+    for i, bond in enumerate(bond_dims):
+        # 4^floor(n/2) is the largest operator Schmidt rank on n sites, so a
+        # larger D gives the same bound; the power is formed only when it
+        # can be below the entry, so a huge n costs nothing
+        if half < bond.bit_length() and bond > 4**half:
+            raise ConfigError(f"ansatz.bond_dims[{i}]",
+                              f"must be at most 4^floor(n/2) = {4**half}, the "
+                              f"largest operator Schmidt rank on n = {n} sites")
     radii = ansatz.get("radii", [])
     radii = _listify(radii, "ansatz.radii", int) if radii else []
     for i, r in enumerate(radii):

@@ -2,8 +2,11 @@
 Heisenberg propagation for Clifford circuits, and Fock-space fermion helpers.
 
 Everything here is meant as ground truth for the approximate machinery, so
-simplicity and transparency win over performance; dense routines are guarded
-to n <= 12 qubits.
+it is written independently of it; dense routines are guarded to n <= 12
+qubits.  The dense simulator fuses each layer into a few superoperators
+(see :func:`dense_simulate`), built straight from the gate matrices and the
+channel's superoperator, never from the Pauli transfer matrices of
+:mod:`noisebound.mpo`: a fault in those must not cancel out of the check.
 """
 
 from __future__ import annotations
@@ -12,42 +15,83 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CircuitSpec
+from .circuits import CircuitSpec, Layer
 from .mpo import _DENSE_SITE_CAP, MPO, PAULI, Array
 from .noise import superop_matrix
 
-
-def _tensorize(rho: Array, n: int) -> Array:
-    return rho.reshape((2,) * (2 * n))
+_EYE2 = np.eye(2, dtype=complex)
 
 
-def _matricize(rt: Array, n: int) -> Array:
-    return rt.reshape(2**n, 2**n)
+def _superop(u: Array) -> Array:
+    """U (x) U* of a k-site unitary, with the (row, column) pair of each site
+    kept together: entry [(r_1 c_1 .. r_k c_k), (i_1 j_1 .. i_k j_k)] is
+    U[r, i] conj(U[c, j]), so a single-site superoperator (row-major vec)
+    acts on one pair by a Kronecker factor."""
+    k = u.shape[0].bit_length() - 1
+    t = np.multiply.outer(u.reshape((2,) * (2 * k)), u.conj().reshape((2,) * (2 * k)))
+    # axes of t: r_1..r_k, i_1..i_k, c_1..c_k, j_1..j_k
+    perm = ([ax for m in range(k) for ax in (m, 2 * k + m)]
+            + [ax for m in range(k) for ax in (k + m, 3 * k + m)])
+    return t.transpose(perm).reshape(4**k, 4**k)
 
 
-def _apply_on_axes(rt: Array, m: Array, axes: list[int]) -> Array:
-    k = len(axes)
-    mt = m.reshape((2,) * (2 * k))
-    out = np.tensordot(mt, rt, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
+def _on_slot(m: Array, op: Array, slot: int) -> Array:
+    """(1 x .. x m x .. x 1) @ op: m acts on one site slot of a fused op,
+    slots ordered as the op's sites (m is 2x2 on a unitary, 4x4 on a
+    superoperator)."""
+    d = m.shape[0]
+    return np.matmul(m, op.reshape(d**slot, d, -1)).reshape(op.shape)
 
 
-def apply_gate_dense(rho: Array, gate: Array, sites: tuple[int, ...], n: int) -> Array:
-    """U rho U^dag for a 1- or 2-site gate embedded at arbitrary sites."""
-    rt = _tensorize(rho, n)
-    rt = _apply_on_axes(rt, np.asarray(gate, dtype=complex), list(sites))
-    rt = _apply_on_axes(rt, np.asarray(gate, dtype=complex).conj(),
-                        [n + s for s in sites])
-    return _matricize(rt, n)
+def _fused_layer(layer: Layer, n: int) -> list[tuple[tuple[int, ...], Array]]:
+    """One layer (its gates in order, then the noise channel on every site)
+    as a list of (sites, superoperator) to apply in order.
+
+    A single-site gate folds into the last gate that touched its site, or,
+    when none has yet, into the next two-site gate on it; one left on its
+    own becomes a one-site op, and so does a site no gate touches.  The
+    fused unitaries become superoperators, and each site's channel folds
+    into the last op on that site.
+    """
+    ops: list[list] = []            # [sites, fused unitary]
+    last: dict[int, int] = {}       # site -> index of the last op on it
+    pending: dict[int, Array] = {}  # site -> single-site gates before any op
+    for g in layer.gates:
+        if len(g.sites) == 1:
+            s = g.sites[0]
+            if s in last:
+                op = ops[last[s]]
+                op[1] = _on_slot(g.matrix, op[1], op[0].index(s))
+            else:
+                pending[s] = g.matrix @ pending.get(s, _EYE2)
+        else:
+            before = np.kron(pending.pop(g.sites[0], _EYE2),
+                             pending.pop(g.sites[1], _EYE2))
+            last.update(dict.fromkeys(g.sites, len(ops)))
+            ops.append([g.sites, g.matrix @ before])
+    for s in range(n):
+        if s not in last:
+            last[s] = len(ops)
+            ops.append([(s,), pending.get(s, _EYE2)])
+    k = superop_matrix(layer.noise)
+    fused = []
+    for i, (sites, u) in enumerate(ops):
+        sup = _superop(u)
+        for slot, s in enumerate(sites):
+            if last[s] == i:
+                sup = _on_slot(k, sup, slot)
+        fused.append((sites, sup))
+    return fused
 
 
-def apply_channel_dense(rho: Array, superop: Array, site: int, n: int) -> Array:
-    """Apply a single-site channel given as a 4x4 superoperator (row-major vec)."""
-    k = np.asarray(superop, dtype=complex).reshape(2, 2, 2, 2)  # [a, b, j, k]
-    rt = _tensorize(rho, n)
-    out = np.tensordot(k, rt, axes=([2, 3], [site, n + site]))
-    out = np.moveaxis(out, [0, 1], [site, n + site])
-    return _matricize(out, n)
+def _apply_superop(rt: Array, sup: Array, sites: tuple[int, ...], n: int) -> Array:
+    """Apply a fused superoperator to the state tensor (rows, then columns)
+    by one contraction over its sites' row and column axes."""
+    k = len(sites)
+    axes = [ax for s in sites for ax in (s, n + s)]
+    out = np.tensordot(sup.reshape((2,) * (4 * k)), rt,
+                       axes=(list(range(2 * k, 4 * k)), axes))
+    return np.moveaxis(out, list(range(2 * k)), axes)
 
 
 def purity_and_info(rho: Array) -> tuple[float, float]:
@@ -81,28 +125,32 @@ def dense_simulate(circuit: CircuitSpec, hamiltonian: MPO | Array | None = None,
                    keep_states: bool = False) -> DenseRun:
     """Exact density-matrix evolution of a noisy circuit (n <= 12).
 
-    Gates are applied in layer order, then the layer's noise channel acts on
-    every site.  The energy is evaluated against ``hamiltonian`` if given;
-    ``keep_states`` records the state after each layer, for
-    :func:`purity_and_info` and the like.
+    Each layer applies its gates in order, then its noise channel on every
+    site.  The layer is first fused into one superoperator per two-site gate
+    (see :func:`_fused_layer`): single-site gates and the channels fold into
+    the two-site gate next to them, so an 8-site brick-wall layer of 15
+    gates and 8 channels costs 7 contractions of the 2^n x 2^n state.
+    Fusion stays inside a layer, so ``keep_states`` records the state after
+    each layer, for :func:`purity_and_info` and the like.  The energy is
+    Tr(H rho) against ``hamiltonian`` if given, evaluated as the
+    elementwise sum conj(H) . rho, which equals it for Hermitian H.
     """
     n = circuit.n_sites
     if n > _DENSE_SITE_CAP:
         raise ValueError(f"dense simulation capped at n={_DENSE_SITE_CAP}, got {n}")
-    rho = product_density_matrix(circuit.initial_state)
+    dim = 2**n
+    rt = product_density_matrix(circuit.initial_state).reshape((2,) * (2 * n))
     states = [] if keep_states else None
     for layer in circuit.layers:
-        for g in layer.gates:
-            rho = apply_gate_dense(rho, g.matrix, g.sites, n)
-        k = superop_matrix(layer.noise)
-        for site in range(n):
-            rho = apply_channel_dense(rho, k, site, n)
+        for sites, sup in _fused_layer(layer, n):
+            rt = _apply_superop(rt, sup, sites, n)
         if keep_states:
-            states.append(rho.copy())
+            states.append(rt.reshape(dim, dim).copy())
+    rho = rt.reshape(dim, dim)
     energy = None
     if hamiltonian is not None:
         hmat = hamiltonian.to_dense() if isinstance(hamiltonian, MPO) else hamiltonian
-        energy = float(np.trace(hmat @ rho).real)
+        energy = float(np.vdot(hmat, rho).real)
     return DenseRun(rho, energy, states)
 
 

@@ -30,7 +30,7 @@ from noisebound.exact import (
     stabilizer_energy,
     stabilizer_heisenberg,
 )
-from noisebound.noise import depolarizing
+from noisebound.noise import depolarizing, replacement
 
 _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                  dtype=complex)
@@ -73,6 +73,98 @@ def test_dense_state_invariants():
     # for this family's mirror second half either
     purities = [purity_and_info(rho)[0] for rho in run.states]
     assert purities[-1] <= purities[0] + 1e-10
+
+
+def _haar(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_state(rng):
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def _embed(m, sites, n):
+    """m on ``sites`` (first site = most significant index of m), identity
+    elsewhere, as a 2^n x 2^n matrix: kron with the identity, then the
+    qubit axes permuted into place."""
+    rest = [s for s in range(n) if s not in sites]
+    full = np.kron(m, np.eye(2 ** len(rest))).reshape((2,) * (2 * n))
+    order = list(sites) + rest             # the qubit held by each axis
+    perm = [order.index(q) for q in range(n)]
+    return full.transpose(perm + [n + a for a in perm]).reshape(2**n, 2**n)
+
+
+def _kraus(model):
+    """Kraus operators written out from the channel's definition."""
+    if model.kind == "depolarizing":
+        p = model.p
+        paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                  np.diag([1.0, -1.0])]
+        return [np.sqrt(1 - 0.75 * p) * np.eye(2)] + [np.sqrt(p / 4) * s for s in paulis]
+    # replacement: (1 - q) rho + q Tr(rho) tau, tau = sum_i t_i |e_i><e_i|
+    t, e = np.linalg.eigh(model.tau)
+    return [np.sqrt(1 - model.q) * np.eye(2)] + [
+        np.sqrt(model.q * t[i]) * np.outer(e[:, i], np.eye(2)[j])
+        for i in range(2) for j in range(2)]
+
+
+def _naive_run(circ, hmat):
+    n = circ.n_sites
+    rho = np.array([[1.0 + 0j]])
+    for loc in circ.initial_state:
+        rho = np.kron(rho, loc)
+    states = []
+    for layer in circ.layers:
+        for g in layer.gates:
+            u = _embed(g.matrix, g.sites, n)
+            rho = u @ rho @ u.conj().T
+        for s in range(n):
+            ks = [_embed(k, (s,), n) for k in _kraus(layer.noise)]
+            rho = sum(k @ rho @ k.conj().T for k in ks)
+        states.append(rho)
+    return states, float(np.trace(hmat @ rho).real)
+
+
+def _random_layer(rng, n, noise):
+    gates = []
+    for _ in range(rng.integers(0, 7)):
+        if rng.random() < 0.5:
+            gates.append(GateOp(_haar(rng, 2), (int(rng.integers(n)),)))
+        else:
+            a, b = rng.choice(n, size=2, replace=False)
+            gates.append(GateOp(_haar(rng, 4), (int(a), int(b))))
+    return Layer(gates, noise)
+
+
+def test_dense_simulate_matches_naive_full_space_reference():
+    """Every layer state and the energy agree with kron-embedded unitaries
+    and Kraus channels on the full space; the layers cover reversed and
+    non-adjacent site pairs, single-site gates before and after two-site
+    gates, overlapping two-site gates, an empty layer and non-unital noise."""
+    rng = np.random.default_rng(14)
+    tau = _random_state(rng)
+    for n in (3, 4, 5):
+        sites = [(2,), (2, 0), (0, n - 1), (0,), (1, 0), (n - 1,), (1,)]
+        fixed = Layer([GateOp(_haar(rng, 2 ** len(st)), st) for st in sites],
+                      replacement(0.3, tau))
+        noises = [depolarizing(0.15), replacement(0.2, tau)]
+        layers = [fixed, Layer([], depolarizing(0.1))] + [
+            _random_layer(rng, n, noises[t % 2]) for t in range(4)]
+        circ = CircuitSpec(n, layers, initial_state=[_random_state(rng)
+                                                     for _ in range(n)])
+        h = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        hmat = h + h.conj().T
+        want_states, want_energy = _naive_run(circ, hmat)
+        run = dense_simulate(circ, hamiltonian=hmat, keep_states=True)
+        assert len(run.states) == len(layers)
+        for got, want in zip(run.states, want_states):
+            assert np.abs(got - want).max() < 1e-12
+        assert np.abs(run.rho - want_states[-1]).max() < 1e-12
+        assert abs(run.energy - want_energy) < 1e-12
 
 
 def test_dense_rejects_large_n():
