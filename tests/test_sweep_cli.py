@@ -262,9 +262,11 @@ def test_config_2d_requires_lattice(tmp_path):
 def test_config_rejects_spectrum_methods_without_spectrum(tmp_path):
     """brickwall_2d has no closed-form target spectrum: its spectrum methods
     need n <= 12, while brickwall_1d's analytic one has no such limit."""
-    text = (BASE_YAML.replace("family: brickwall_1d", "family: brickwall_2d\n  lattice: [4, 4]")
+    text = (BASE_YAML
+            .replace("family: brickwall_1d", "family: brickwall_2d\n  lattice: [4, 4]")
             .replace("  n: 3\n", "").replace("depth: [1, 3]", "depth: [2]")
-            .replace("trace_dual, tebd_error, info_only, purity_only", "purity_only, info_only")
+            .replace("trace_dual, tebd_error, info_only, purity_only",
+                     "purity_only, info_only")
             .replace("OUTPUT", str(tmp_path / "o.csv")))
     with pytest.raises(ConfigError) as err:
         parse_config(text)
@@ -284,7 +286,8 @@ def test_config_rejects_spectrum_methods_without_spectrum(tmp_path):
 def test_config_caps_bond_dims_at_the_largest_schmidt_rank(tmp_path, n, bonds, bad):
     """Bond dimensions above 4^floor(n/2) are rejected, naming the entry;
     n = 3 with D = 4 sits exactly at the cap."""
-    text = (BASE_YAML.replace("n: 3", f"n: {n}").replace("bond_dims: [4]", f"bond_dims: {bonds}")
+    text = (BASE_YAML.replace("n: 3", f"n: {n}")
+            .replace("bond_dims: [4]", f"bond_dims: {bonds}")
             .replace("OUTPUT", str(tmp_path / "o.csv")))
     if n == 1:
         text = text.replace("family: brickwall_1d", "family: single_qubit").replace(
