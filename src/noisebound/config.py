@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .mpo import _DENSE_SITE_CAP
+from .mpo import _DENSE_SITE_CAP, _SPECTRUM_MODE_CAP
 from .report import METHODS
 
 SCHEMA_VERSION = 1
@@ -192,6 +192,10 @@ def parse_config(text: str) -> ExperimentConfig:
                               f"{m} needs the spectrum of the {family} target, "
                               f"available only for n <= {_DENSE_SITE_CAP}; "
                               f"got n = {n}")
+        if m == "purity_only" and n > _SPECTRUM_MODE_CAP:
+            raise ConfigError(f"methods[{i}]",
+                              "purity_only enumerates the full target spectrum, "
+                              f"capped at n <= {_SPECTRUM_MODE_CAP}; got n = {n}")
     if family in _FERMION_FAMILIES and model != "depolarizing":
         raise ConfigError("noise.model", "fermion families support depolarizing only")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import CircuitSpec, Layer
-from .mpo import _DENSE_SITE_CAP, MPO, PAULI, Array
+from .mpo import _DENSE_SITE_CAP, _SPECTRUM_MODE_CAP, MPO, PAULI, Array
 from .noise import superop_matrix
 
 _EYE2 = np.eye(2, dtype=complex)
@@ -166,7 +166,7 @@ def min_energy_at_purity(energies: Array, purity_cap: float) -> float:
     dim = e.size
     if dim == 0:
         raise ValueError("empty spectrum")
-    if dim > 2**20:
+    if dim > 2**_SPECTRUM_MODE_CAP:
         raise ValueError("spectrum too large for the exact purity solver")
     if purity_cap < 1.0 / dim - 1e-12:
         raise ValueError(f"purity cap {purity_cap} below 1/dim = {1 / dim}")

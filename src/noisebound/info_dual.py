@@ -21,7 +21,7 @@ import numpy as np
 import scipy.optimize
 from scipy.special import expit, logsumexp
 
-from .mpo import _DENSE_SITE_CAP, MPO
+from .mpo import _DENSE_SITE_CAP, _SPECTRUM_MODE_CAP, MPO
 from .report import BoundReport
 # probe-only: bench/tracer.py wraps ``info_dual.defect_mpos``
 from .trace_dual import defect_mpos  # noqa: F401
@@ -99,9 +99,11 @@ class TwoLevelModes:
         return float(np.sum(np.log1p(np.exp(-x)) + x * expit(-x)))
 
     def spectrum(self) -> np.ndarray:
-        """All 2^n_modes energies, ascending (capped at 20 modes)."""
-        if self.n_modes > 20:
-            raise ValueError("full spectrum enumeration capped at 20 modes")
+        """All 2^n_modes energies, ascending (capped at
+        ``_SPECTRUM_MODE_CAP`` modes)."""
+        if self.n_modes > _SPECTRUM_MODE_CAP:
+            raise ValueError("full spectrum enumeration capped at "
+                             f"{_SPECTRUM_MODE_CAP} modes")
         levels = np.array([self.offset])
         for g in self.gaps:
             levels = np.concatenate([levels, levels + g])

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import blas_threads
 from .circuits import CircuitSpec, Layer
 from .mpo import (MPO, _site_coeffs, apply_depolarizing_adjoint,
                   apply_gate_adjoint, apply_gate_adjoint_longrange,
@@ -91,6 +92,11 @@ def heisenberg_tebd(circuit: CircuitSpec, target: MPO, max_bond: int) -> TebdDua
     drop PTM factors below it and, in the SVD re-split at chain ends and
     for rank-4 gates, singular values below it.  Neither is charged; both
     are far below every tolerance used downstream.
+
+    Runs with numpy's OpenBLAS pool lowered to one thread (restored on
+    exit): at the bonds of a 16-site chain, D = 16 .. 128, the MPO path's
+    matrices are too small for a second thread to pay (README, "BLAS
+    threads").
     """
     if target.n_sites != circuit.n_sites:
         raise ValueError("target must act on the circuit's sites")
@@ -100,9 +106,10 @@ def heisenberg_tebd(circuit: CircuitSpec, target: MPO, max_bond: int) -> TebdDua
     sigmas: list[MPO | None] = [None] * d
     defects = np.zeros(d)
     sigmas[d - 1] = mpo_scale(target, -1.0)
-    for t in range(d - 1, 0, -1):
-        b = apply_layer_adjoint(sigmas[t], circuit.layers[t])
-        sigmas[t - 1], defects[t - 1] = compress(b, max_bond)
+    with blas_threads(numpy=1):
+        for t in range(d - 1, 0, -1):
+            b = apply_layer_adjoint(sigmas[t], circuit.layers[t])
+            sigmas[t - 1], defects[t - 1] = compress(b, max_bond)
     return TebdDual(sigmas, defects, meta={"max_bond": int(max_bond)})
 
 
@@ -158,6 +165,8 @@ def dual_value(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
     Defects are built at most once.  A :class:`TebdDual` supplies its
     recorded compression errors as the norms ||H_t||_F (upper bounds, so
     still certified), and under a purity schedule needs no defect at all.
+    Runs with numpy's OpenBLAS pool at one thread, as
+    :func:`heisenberg_tebd` does.
     """
     kind, caps, n = schedule.kind, schedule.values, circuit.n_sites
     if kind not in ("purity", "frobenius_distance", "info"):
@@ -168,24 +177,25 @@ def dual_value(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
         raise ValueError("the info dual uses dense free energies, capped at n=10")
     recorded = isinstance(dual, TebdDual)
     sigmas = dual.sigmas if recorded else dual
-    hs = None if recorded and kind == "purity" else defect_mpos(circuit, sigmas, target)
-    boundary = boundary_term(circuit, sigmas[0])
-    if kind == "info":
-        # function-local: info_dual imports this module
-        from .info_dual import LN2, _spectrum, free_energy_term
-        penalties = -np.array([
-            free_energy_term(_spectrum(h, n), LN2 * (n - float(cap)),
-                             None if lambdas is None else lambdas[t])[0]
-            for t, (h, cap) in enumerate(zip(hs, caps))])
-    else:
-        norms = (dual.step_defects if recorded
-                 else np.array([frobenius_norm(h) for h in hs]))
-        if kind == "purity":
-            penalties = np.sqrt(caps) * norms
+    with blas_threads(numpy=1):
+        hs = None if recorded and kind == "purity" else defect_mpos(circuit, sigmas, target)
+        boundary = boundary_term(circuit, sigmas[0])
+        if kind == "info":
+            # function-local: info_dual imports this module
+            from .info_dual import LN2, _spectrum, free_energy_term
+            penalties = -np.array([
+                free_energy_term(_spectrum(h, n), LN2 * (n - float(cap)),
+                                 None if lambdas is None else lambdas[t])[0]
+                for t, (h, cap) in enumerate(zip(hs, caps))])
         else:
-            taus = [schedule.meta["tau"]] * n
-            penalties = caps * norms - np.array(
-                [expectation_product_state(h, taus) for h in hs])
+            norms = (dual.step_defects if recorded
+                     else np.array([frobenius_norm(h) for h in hs]))
+            if kind == "purity":
+                penalties = np.sqrt(caps) * norms
+            else:
+                taus = [schedule.meta["tau"]] * n
+                penalties = caps * norms - np.array(
+                    [expectation_product_state(h, taus) for h in hs])
     return DualValue(boundary - float(np.sum(penalties)), boundary, penalties)
 
 

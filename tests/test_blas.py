@@ -8,7 +8,8 @@ import os
 
 import pytest
 
-from noisebound import _blas, sweep
+from noisebound import _blas, mpo, sweep, trace_dual
+from noisebound.circuits import brickwall_1d
 from noisebound.fermion import fermion_brickwall_1d, optimize_fermionic_dual
 from noisebound.noise import info_schedule
 
@@ -57,6 +58,25 @@ def test_restored_after_exception(package):
                 assert count(package) == 1
                 raise RuntimeError("inside the block")
         assert count(package) == 2
+
+
+def test_mpo_path_runs_at_one_numpy_thread(monkeypatch):
+    """heisenberg_tebd lowers numpy's pool to 1 thread while it compresses
+    and restores the count after it."""
+    if _blas._controls("numpy") is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    seen = []
+
+    def compress(a, max_bond):
+        seen.append(count("numpy"))
+        return mpo.compress(a, max_bond)
+
+    monkeypatch.setattr(trace_dual, "compress", compress)
+    circ, target = brickwall_1d(4, 3, 0.1, 0.1, 5)
+    with raw_threads("numpy", 2):
+        trace_dual.heisenberg_tebd(circ, target, 4)
+        assert count("numpy") == 2
+    assert seen and set(seen) == {1}
 
 
 def test_missing_library_is_a_no_op(monkeypatch):

@@ -214,6 +214,73 @@ def test_compress_error_monotone_in_bond(seed, n, bond):
     assert abs(err_small - dense_err) < 1e-9
 
 
+def check_compress(a: MPO, bond: int) -> tuple[MPO, float]:
+    """Compress ``a`` and check what every compression must satisfy: the
+    returned error is the dense residual, the bonds respect the cap, and
+    every site but the last is left-isometric."""
+    c, err = compress(a, bond)
+    dense_err = np.linalg.norm(a.to_dense() - c.to_dense())
+    assert abs(err - dense_err) < 1e-9
+    assert max(c.bond_dims) <= bond
+    for t in c.tensors[:-1]:
+        u = t.reshape(-1, t.shape[-1])
+        assert np.abs(u.T @ u - np.eye(u.shape[1])).max() < 1e-12
+    return c, err
+
+
+def test_compress_rank_deficient_input():
+    """A + A has A's rank at every cut, half its stored bond."""
+    a = rand_herm_mpo(5, 3, 21)
+    doubled = mpo_add(a, a)
+    for bond in (1, 2, 4, 64):
+        check_compress(doubled, bond)
+    c, err = check_compress(doubled, 64)
+    assert err < 1e-10
+    assert all(x <= y for x, y in zip(c.bond_dims, a.bond_dims))
+
+
+def test_compress_bonds_above_the_schmidt_rank():
+    """Bonds wider than 4^min(k, n - k) are cut to that rank losslessly."""
+    n = 5
+    a = rand_herm_mpo(n, 20, 22)
+    caps = [4 ** min(k + 1, n - k - 1) for k in range(n - 1)]
+    assert all(b > cap for b, cap in zip(a.bond_dims, caps))
+    for bond in (1, 3, 8):
+        check_compress(a, bond)
+    c, err = check_compress(a, 64)
+    assert err < 1e-10
+    assert all(b <= cap for b, cap in zip(c.bond_dims, caps))
+
+
+def test_compress_zero_operator():
+    c, err = check_compress(mpo_scale(rand_herm_mpo(4, 3, 23), 0.0), 4)
+    assert err == 0.0
+    assert c.bond_dims == [1, 1, 1]
+    assert not c.to_dense().any()
+
+
+def test_compress_ignores_an_ill_conditioned_bond_gauge():
+    """Re-gauging one bond by G, G^-1 with cond(G) = 1e4 leaves the
+    operator, and so its compression and error, unchanged."""
+    rng = np.random.default_rng(24)
+    a = rand_herm_mpo(5, 3, 25)
+    k = 2
+    dim = a.bond_dims[k]
+    u = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    v = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    g = u @ np.diag(np.logspace(0, -4, dim)) @ v.T
+    assert np.linalg.cond(g) == pytest.approx(1e4)
+    tensors = list(a.tensors)
+    tensors[k] = np.tensordot(a.tensors[k], g, axes=(-1, 0))
+    tensors[k + 1] = np.tensordot(np.linalg.inv(g), a.tensors[k + 1], axes=(1, 0))
+    gauged = MPO(tensors)
+    for bond in (1, 2, 5, 64):
+        c, err = check_compress(a, bond)
+        cg, err_g = check_compress(gauged, bond)
+        assert abs(err - err_g) < 1e-9
+        assert np.abs(c.to_dense() - cg.to_dense()).max() < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # gate and channel adjoints
 

@@ -279,14 +279,38 @@ def test_config_rejects_spectrum_methods_without_spectrum(tmp_path):
     assert parse_config(chain).methods[-1] == "purity_only"
 
 
+@pytest.mark.parametrize("circuit", [
+    "family: brickwall_1d\n  n: N\n  depth: [3]",
+    "family: clifford\n  n: N\n  depth: [2]",
+    "family: fermion_1d\n  n: N\n  depth: [2]",
+    "family: brickwall_2d\n  lattice: [3, 7]\n  depth: [2]",
+    "family: fermion_2d\n  lattice: [3, 7]\n  depth: [2]",
+])
+def test_config_caps_purity_only_at_the_spectrum_limit(tmp_path, circuit):
+    """purity_only enumerates all 2^n target energies, so above 20 sites or
+    modes it is rejected at the config, naming the method, on every family."""
+    text = (BASE_YAML.replace("family: brickwall_1d\n  n: 3\n  depth: [1, 3]", circuit)
+            .replace("trace_dual, tebd_error, info_only, purity_only", "purity_only")
+            .replace("bond_dims: [4]", "radii: [0]" if "fermion" in circuit else "bond_dims: [4]")
+            .replace("OUTPUT", str(tmp_path / "o.csv")))
+    if "n: N" in text:
+        assert parse_config(text.replace("n: N", "n: 20")).n == 20
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.replace("n: N", "n: 21"))
+    assert err.value.path == "methods[0]"
+    assert "got n = 21" in str(err.value)
+
+
 @pytest.mark.parametrize("n,bonds,bad", [
     (3, "[1, 4, 5]", 2), (4, "[16, 17]", 1), (1, "[2]", 0),
     (10**30, "[1.0e+300]", None), (8, "[1.0e+300]", 0),
 ])
 def test_config_caps_bond_dims_at_the_largest_schmidt_rank(tmp_path, n, bonds, bad):
     """Bond dimensions above 4^floor(n/2) are rejected, naming the entry;
-    n = 3 with D = 4 sits exactly at the cap."""
+    n = 3 with D = 4 sits exactly at the cap.  purity_only is capped at
+    n = 20 on its own, so the huge chain runs without it."""
     text = (BASE_YAML.replace("n: 3", f"n: {n}")
+            .replace(", purity_only]", "]" if n > 20 else ", purity_only]")
             .replace("bond_dims: [4]", f"bond_dims: {bonds}")
             .replace("OUTPUT", str(tmp_path / "o.csv")))
     if n == 1:
