@@ -293,8 +293,8 @@ def compress(a: MPO, max_bond: int) -> tuple[MPO, float]:
       C_{k+1} = (u^T C_k) A_{k+1}.  The last centre is the last site.
 
     Sites 0 .. k-1 are isometries and the rows right of cut k orthonormal,
-    so s holds the operator's singular values across cut k, and each cut
-    is truncated once, in that mixed-canonical form.  The discarded parts
+    so s holds the singular values across cut k of the operator truncated
+    so far, and each cut is truncated once, in that mixed-canonical form.  The discarded parts
     of different cuts are therefore mutually orthogonal, and the returned
     error is the exact discarded weight of the SVDs computed.  No R is
     ever inverted: under a bond gauge of condition 1e4 or 1e8 the result

@@ -94,9 +94,9 @@ def heisenberg_tebd(circuit: CircuitSpec, target: MPO, max_bond: int) -> TebdDua
     are far below every tolerance used downstream.
 
     Runs with numpy's OpenBLAS pool lowered to one thread (restored on
-    exit): at the bonds of a 16-site chain, D = 16 .. 128, the MPO path's
-    matrices are too small for a second thread to pay (README, "BLAS
-    threads").
+    exit): on a 2-core machine a second thread was up to 1.6x slower at
+    D = 16 .. 64 on a 16-site chain and no faster at D = 128 (README,
+    "BLAS threads").
     """
     if target.n_sites != circuit.n_sites:
         raise ValueError("target must act on the circuit's sites")
