@@ -6,15 +6,16 @@ benchmark families are mirror circuits: the second half undoes the first,
 so the noiseless output is a known ground state and every reported bound
 can be compared against an exactly known target.
 
-Site indexing is 0-based.  Bond (i, i+1) is called *odd* when i is odd in
-1-based counting, i.e. pairs (0,1), (2,3), ... in 0-based indexing; odd
-layers act on odd bonds first.
+Every family lives on an lx x ly square lattice, and a chain is the ly = 1
+lattice.  Site indexing is 0-based; :func:`_lattice_edges` splits the
+lattice bonds into the site-disjoint odd and even groups that brick-wall
+layers act on.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +71,6 @@ class CircuitSpec:
     n_sites: int
     layers: list[Layer]
     initial_state: list[Array] | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.initial_state is None:
@@ -189,25 +189,42 @@ def single_qubit_circuit(theta: float, p: float, delta: float = 1.0
     delta (1-p) cos(2 theta).
     """
     layer = Layer([GateOp(rotation_y(theta), (0,))], depolarizing(p))
-    circ = CircuitSpec(1, [layer], meta={
-        "family": "single_qubit", "theta": float(theta), "p": float(p),
-        "delta": float(delta)})
+    circ = CircuitSpec(1, [layer])
     target = from_pauli_sum([("Z", float(delta))])
     return circ, target
 
 
-def _odd_bonds(n: int) -> list[tuple[int, int]]:
-    return [(i, i + 1) for i in range(0, n - 1, 2)]
+def _lattice_edges(lx: int, ly: int, index: dict[tuple[int, int], int] | None = None
+                   ) -> dict[str, list[tuple[int, int]]]:
+    """The bonds of an lx-wide, ly-tall square lattice as site pairs, in
+    four groups of site-disjoint bonds.  A chain is the ly = 1 lattice,
+    whose vertical groups are empty.
 
-
-def _even_bonds(n: int) -> list[tuple[int, int]]:
-    return [(i, i + 1) for i in range(1, n - 1, 2)]
+    Bond ((r, c), (r, c+1)) is *odd* (``h_odd``) when c is odd in 1-based
+    counting, i.e. pairs (0,1), (2,3), ... along each row, and *even*
+    (``h_even``) otherwise; vertical bonds ((r, c), (r+1, c)) split into
+    ``v_odd`` and ``v_even`` the same way by r.  ``index`` maps (row, col)
+    to a site; the default is row-major, r * lx + c, so on a chain a site
+    is its column.
+    """
+    if index is None:
+        index = {(r, c): r * lx + c for r in range(ly) for c in range(lx)}
+    groups = {"h_odd": [], "h_even": [], "v_odd": [], "v_even": []}
+    for r in range(ly):
+        for c in range(lx - 1):
+            key = "h_odd" if c % 2 == 0 else "h_even"
+            groups[key].append((index[r, c], index[r, c + 1]))
+    for r in range(ly - 1):
+        for c in range(lx):
+            key = "v_odd" if r % 2 == 0 else "v_even"
+            groups[key].append((index[r, c], index[r + 1, c]))
+    return groups
 
 
 def _brick_layer(n: int, theta: float, rng: np.random.Generator,
                  noise: NoiseModel, entangler=xx_gate) -> Layer:
-    gates = [GateOp(entangler(theta), b) for b in _odd_bonds(n)]
-    gates += [GateOp(entangler(theta), b) for b in _even_bonds(n)]
+    groups = _lattice_edges(n, 1)
+    gates = [GateOp(entangler(theta), b) for b in groups["h_odd"] + groups["h_even"]]
     gates += [GateOp(haar_single_qubit(rng), (i,)) for i in range(n)]
     return Layer(gates, noise)
 
@@ -239,9 +256,7 @@ def brickwall_1d(n: int, depth: int, theta: float, p: float, seed: int,
     random_layers = [_brick_layer(n, theta, rng, noise, entangler)
                      for _ in range(k)]
     layers = [u_h] + random_layers + [lay.inverse() for lay in reversed(random_layers)]
-    circ = CircuitSpec(n, layers, meta={
-        "family": "brickwall_1d", "n": n, "depth": depth,
-        "theta": float(theta), "p": float(p), "seed": int(seed)})
+    circ = CircuitSpec(n, layers)
 
     target = sum_local_mpo([-PAULI["Z"] / (2.0 * n)] * n, constant=0.5)
     for g in u_h.gates:
@@ -257,19 +272,6 @@ def snake_index(lx: int, ly: int) -> dict[tuple[int, int], int]:
             col = c if r % 2 == 0 else lx - 1 - c
             idx[(r, col)] = r * lx + c
     return idx
-
-
-def _lattice_edges(lx: int, ly: int) -> dict[str, list[tuple[tuple[int, int], tuple[int, int]]]]:
-    groups = {"h_odd": [], "h_even": [], "v_odd": [], "v_even": []}
-    for r in range(ly):
-        for c in range(lx - 1):
-            key = "h_odd" if c % 2 == 0 else "h_even"
-            groups[key].append(((r, c), (r, c + 1)))
-    for r in range(ly - 1):
-        for c in range(lx):
-            key = "v_odd" if r % 2 == 0 else "v_even"
-            groups[key].append(((r, c), (r + 1, c)))
-    return groups
 
 
 def brickwall_2d_snake(lx: int, ly: int, depth: int, theta: float, p: float,
@@ -290,8 +292,7 @@ def brickwall_2d_snake(lx: int, ly: int, depth: int, theta: float, p: float,
     if depth < 2 or depth % 2 != 0:
         raise ValueError("depth must be even for an entangle/un-entangle mirror")
     n = lx * ly
-    snake = snake_index(lx, ly)
-    groups = _lattice_edges(lx, ly)
+    groups = _lattice_edges(lx, ly, snake_index(lx, ly))
     order = ["h_odd", "h_even", "v_odd", "v_even"]
     rng = circuit_rng(seed)
     if noise is None:
@@ -300,19 +301,17 @@ def brickwall_2d_snake(lx: int, ly: int, depth: int, theta: float, p: float,
     half = []
     for t in range(depth // 2):
         edges = groups[order[t % 4]]
-        gates = [GateOp(entangler(theta), (snake[a], snake[b])) for a, b in edges]
+        gates = [GateOp(entangler(theta), e) for e in edges]
         gates += [GateOp(haar_single_qubit(rng), (i,)) for i in range(n)]
         half.append(Layer(gates, noise))
     layers = half + [lay.inverse() for lay in reversed(half)]
-    circ = CircuitSpec(n, layers, meta={
-        "family": "brickwall_2d", "lx": lx, "ly": ly, "depth": depth,
-        "theta": float(theta), "p": float(p), "seed": int(seed)})
+    circ = CircuitSpec(n, layers)
 
     edges = [e for key in order for e in groups[key]]
     n_edges = len(edges)
     terms = [("I" * n, 0.5)]
-    for a, b in edges:
-        i, j = sorted((snake[a], snake[b]))
+    for e in edges:
+        i, j = sorted(e)
         s = "I" * i + "Z" + "I" * (j - i - 1) + "Z" + "I" * (n - j - 1)
         terms.append((s, -1.0 / (2.0 * n_edges)))
     target = from_pauli_sum_compressed(terms, n)
@@ -344,14 +343,13 @@ def clifford_entangle_unentangle(n: int, depth: int, p: float, seed: int,
     rng = circuit_rng(seed)
     if noise is None:
         noise = depolarizing(p)
+    groups = _lattice_edges(n, 1)
     half = []
     for t in range(depth // 2):
-        bonds = _odd_bonds(n) if t % 2 == 0 else _even_bonds(n)
+        bonds = groups["h_odd"] if t % 2 == 0 else groups["h_even"]
         gates = [GateOp(random_two_site_clifford(rng), b) for b in bonds]
         half.append(Layer(gates, noise))
     layers = half + [lay.inverse() for lay in reversed(half)]
-    circ = CircuitSpec(n, layers, meta={
-        "family": "clifford_mirror", "n": n, "depth": depth,
-        "p": float(p), "seed": int(seed)})
+    circ = CircuitSpec(n, layers)
     target = sum_local_mpo([-PAULI["Z"]] * n)
     return circ, target

@@ -62,7 +62,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _listify(value, path: str, kind, positive=False, allow_zero=True) -> list:
+def _listify(value, path: str, kind, positive=False) -> list:
     if value is None:
         raise ConfigError(path, "missing required field")
     items = value if isinstance(value, list) else [value]
@@ -83,8 +83,6 @@ def _listify(value, path: str, kind, positive=False, allow_zero=True) -> list:
         val = kind(item)
         if positive and val <= 0:
             raise ConfigError(f"{path}[{i}]", "must be positive")
-        if not allow_zero and val < 0:
-            raise ConfigError(f"{path}[{i}]", "must be nonnegative")
         out.append(val)
     return out
 

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import CircuitSpec, Layer
-from .mpo import _DENSE_SITE_CAP, _SPECTRUM_MODE_CAP, MPO, PAULI, Array
+from .mpo import _DENSE_SITE_CAP, _EYE2, _SPECTRUM_MODE_CAP, MPO, PAULI, Array
 from .noise import superop_matrix
-
-_EYE2 = np.eye(2, dtype=complex)
 
 
 def _superop(u: Array) -> Array:

@@ -18,6 +18,11 @@ with R = exp(2 m_U) orthogonal; single-mode depolarizing at rate p zeroes
 row/column x and n+x with weight p.  Heisenberg (adjoint) transforms of
 dual variables use the same primitives with R transposed and run noise
 first.
+
+Every mirror-circuit family lives on an lx-by-ly grid of modes in row-major
+order, and a chain is the ly = 1 grid: the bond groups come from
+:func:`noisebound.circuits._lattice_edges`, and a circuit carries its mode
+coordinates, the geometry its locality radii are measured in.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import scipy.linalg
 import scipy.optimize
 
 from ._blas import blas_threads
-from .circuits import _even_bonds, _lattice_edges, _odd_bonds
+from .circuits import _lattice_edges
 # golden_section_max is imported only so that bench/tracer.py can probe it
 from .info_dual import (LN2, TwoLevelModes, free_energy_term,  # noqa: F401
                         golden_section_max)
@@ -113,7 +118,11 @@ def hopping_to_majorana(a: np.ndarray) -> QuadraticOp:
     return QuadraticOp(m, 0.5 * float(np.trace(a).real))
 
 
-def canonical_form(m: np.ndarray, tol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
+# Relative size below which a mode energy counts as exactly zero.
+_ZERO_MODE_TOL = 1e-11
+
+
+def canonical_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decompose a real antisymmetric matrix as m = Q T Q^T with Q orthogonal
     and T a direct sum of blocks [[0, eps], [-eps, 0]], eps >= 0.
 
@@ -125,7 +134,7 @@ def canonical_form(m: np.ndarray, tol: float = 1e-11) -> tuple[np.ndarray, np.nd
     n2 = m.shape[0]
     scale = max(1.0, np.abs(m).max())
     t, q = scipy.linalg.schur(0.5 * (m - m.T), output="real")
-    thresh = tol * scale
+    thresh = _ZERO_MODE_TOL * scale
     cols: list[int] = []
     eps: list[float] = []
     zero_cols: list[int] = []
@@ -197,10 +206,6 @@ def scaled_to_unit_interval(op: QuadraticOp) -> QuadraticOp:
 # SSH hopping models
 
 
-def chain_coords(n: int) -> list[tuple[int, ...]]:
-    return [(x,) for x in range(n)]
-
-
 def grid_coords(lx: int, ly: int) -> list[tuple[int, ...]]:
     """Row-major coordinates of an lx-wide, ly-tall grid
     (mode r*lx + c sits at row r, column c)."""
@@ -208,34 +213,25 @@ def grid_coords(lx: int, ly: int) -> list[tuple[int, ...]]:
 
 
 def ssh_hamiltonian_1d(n: int, v: float = 1.0, w: float = 0.5) -> QuadraticOp:
-    """Alternating-bond chain: hopping v on bonds (0,1), (2,3), ... and w on
-    (1,2), (3,4), ...; returned in Majorana form scaled so the spectrum is
-    [0, 1]."""
-    if n < 2:
-        raise ValueError("need at least two modes")
-    a = np.zeros((n, n))
-    for i in range(n - 1):
-        a[i, i + 1] = a[i + 1, i] = v if i % 2 == 0 else w
-    return scaled_to_unit_interval(hopping_to_majorana(a))
+    """Alternating-bond chain, the ly = 1 case of :func:`ssh_hamiltonian_2d`:
+    hopping v on bonds (0,1), (2,3), ... and w on (1,2), (3,4), ...;
+    returned in Majorana form scaled so the spectrum is [0, 1]."""
+    return ssh_hamiltonian_2d(n, 1, v, w)
 
 
-def ssh_hamiltonian_2d(lx: int, ly: int, vx: float = 1.0, wx: float = 0.5,
-                       vy: float = 1.0, wy: float = 0.5) -> QuadraticOp:
-    """2D alternating-bond lattice (row-major mode order): horizontal bonds
-    alternate vx, wx along each row, vertical bonds alternate vy, wy down
-    each column; scaled so the spectrum is [0, 1]."""
+def ssh_hamiltonian_2d(lx: int, ly: int, v: float = 1.0, w: float = 0.5
+                       ) -> QuadraticOp:
+    """Alternating-bond lattice (row-major mode order): hopping v on the odd
+    and w on the even bond groups of :func:`_lattice_edges`, so bonds
+    alternate v, w along each row and down each column; scaled so the
+    spectrum is [0, 1]."""
     if lx < 1 or ly < 1 or lx * ly < 2:
         raise ValueError("grid too small")
     n = lx * ly
     a = np.zeros((n, n))
-    for r in range(ly):
-        for c in range(lx - 1):
-            i, j = r * lx + c, r * lx + c + 1
-            a[i, j] = a[j, i] = vx if c % 2 == 0 else wx
-    for r in range(ly - 1):
-        for c in range(lx):
-            i, j = r * lx + c, (r + 1) * lx + c
-            a[i, j] = a[j, i] = vy if r % 2 == 0 else wy
+    for key, bonds in _lattice_edges(lx, ly).items():
+        for i, j in bonds:
+            a[i, j] = a[j, i] = v if key.endswith("_odd") else w
     return scaled_to_unit_interval(hopping_to_majorana(a))
 
 
@@ -243,9 +239,9 @@ def ssh_hamiltonian_2d(lx: int, ly: int, vx: float = 1.0, wx: float = 0.5,
 # covariance matrices and circuit evolution
 
 
-def check_covariance(gamma: np.ndarray, tol: float = 1e-8) -> None:
+def check_covariance(gamma: np.ndarray) -> None:
     gamma = np.asarray(gamma)
-    if np.abs(gamma + gamma.T).max() > tol * max(1.0, np.abs(gamma).max()):
+    if np.abs(gamma + gamma.T).max() > 1e-8 * max(1.0, np.abs(gamma).max()):
         raise ValueError("covariance matrix must be antisymmetric")
     svals = np.linalg.svd(gamma, compute_uv=False)
     if svals.size and svals.max() > 1.0 + 1e-7:
@@ -369,12 +365,20 @@ class FermionLayer:
 
 @dataclass
 class FermionCircuit:
+    """Layers acting on n_modes modes from an initial covariance.  ``coords``
+    places mode x at lattice point coords[x], the geometry in which
+    locality radii are measured (default: the chain, grid_coords(n, 1))."""
+
     n_modes: int
     layers: list[FermionLayer]
     initial_covariance: np.ndarray
-    meta: dict = field(default_factory=dict)
+    coords: list[tuple[int, ...]] | None = None
 
     def __post_init__(self):
+        if self.coords is None:
+            self.coords = grid_coords(self.n_modes, 1)
+        if len(self.coords) != self.n_modes:
+            raise ValueError("coords length must equal the mode count")
         if self.initial_covariance.shape != (2 * self.n_modes, 2 * self.n_modes):
             raise ValueError("initial covariance has the wrong shape")
         check_covariance(self.initial_covariance)
@@ -423,27 +427,22 @@ def heisenberg_quadratic_step(op: QuadraticOp, layer: FermionLayer) -> Quadratic
 
 
 def project_local(op: QuadraticOp, radius: int | None,
-                  coords: list[tuple[int, ...]] | None = None) -> QuadraticOp:
+                  coords: list[tuple[int, ...]]) -> QuadraticOp:
     """Zero every matrix entry coupling Majoranas of modes farther apart than
-    ``radius`` (Manhattan distance on ``coords``; chain positions when coords
-    is None).  radius=None leaves the operator untouched; radius=0 keeps
-    only on-site terms.  This is the orthogonal projection in the pairing
-    <m, gamma> = sum_{a<b} m_ab gamma_ab, so it can only move a dual ansatz
-    within the feasible (still certified) set."""
+    ``radius`` (Manhattan distance on ``coords``).  radius=None leaves the
+    operator untouched; radius=0 keeps only on-site terms.  This is the
+    orthogonal projection in the pairing <m, gamma> = sum_{a<b} m_ab
+    gamma_ab, so it can only move a dual ansatz within the feasible (still
+    certified) set."""
     if radius is None:
         return op
-    mask = locality_mask(op.n_modes, radius, coords)
+    mask = locality_mask(coords, radius)
     return QuadraticOp._trusted(np.where(mask, op.matrix, 0.0), op.constant)
 
 
-def locality_mask(n: int, radius: int,
-                  coords: list[tuple[int, ...]] | None = None) -> np.ndarray:
-    """Boolean (2n, 2n) mask of Majorana pairs whose modes lie within
-    Manhattan distance ``radius``."""
-    if coords is None:
-        coords = chain_coords(n)
-    if len(coords) != n:
-        raise ValueError("coords length must equal the mode count")
+def locality_mask(coords: list[tuple[int, ...]], radius: int) -> np.ndarray:
+    """Boolean (2n, 2n) mask of Majorana pairs whose modes, placed at the n
+    points ``coords``, lie within Manhattan distance ``radius``."""
     pts = np.asarray(coords, dtype=int)
     dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
     mode_ok = dist <= radius
@@ -478,41 +477,27 @@ def _mirror_layers(n: int, bond_groups: list[list[tuple[int, int]]],
     return layers
 
 
-def fermion_brickwall_1d(n: int, depth: int, p: float, seed: int,
-                         v: float = 1.0, w: float = 0.5):
-    """Mirror circuit of random two-mode Gaussian gates on alternating chain
-    bonds, depolarized at rate p, starting from the SSH ground state.
-    Returns (circuit, target); the noiseless output energy is exactly the
-    ground energy 0 of the [0, 1]-scaled target."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    target = ssh_hamiltonian_1d(n, v, w)
-    groups = [g for g in (_odd_bonds(n), _even_bonds(n)) if g]
-    layers = _mirror_layers(n, groups, depth, p, rng)
-    circuit = FermionCircuit(
-        n, layers, ground_state_covariance(target),
-        meta={"family": "fermion_brickwall_1d", "n": n, "depth": depth,
-              "p": p, "seed": seed, "v": v, "w": w,
-              "coords": chain_coords(n)})
-    return circuit, target
+def fermion_brickwall_1d(n: int, depth: int, p: float, seed: int):
+    """The ly = 1 case of :func:`fermion_brickwall_2d`: random two-mode
+    Gaussian gates alternating between odd and even chain bonds."""
+    return fermion_brickwall_2d(n, 1, depth, p, seed)
 
 
-def fermion_brickwall_2d(lx: int, ly: int, depth: int, p: float, seed: int,
-                         vx: float = 1.0, wx: float = 0.5,
-                         vy: float = 1.0, wy: float = 0.5):
-    """2D version of :func:`fermion_brickwall_1d` on an lx-by-ly grid,
-    cycling horizontal-odd / horizontal-even / vertical-odd / vertical-even
-    bond groups."""
+def fermion_brickwall_2d(lx: int, ly: int, depth: int, p: float, seed: int):
+    """Mirror circuit of random two-mode Gaussian gates on an lx-by-ly grid,
+    cycling through the nonempty bond groups of :func:`_lattice_edges`
+    (horizontal-odd / horizontal-even / vertical-odd / vertical-even),
+    depolarized at rate p, starting from the ground state of
+    :func:`ssh_hamiltonian_2d` at its default rates.  Returns (circuit,
+    target); the noiseless output energy is exactly the ground energy 0 of
+    the [0, 1]-scaled target."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = lx * ly
-    target = ssh_hamiltonian_2d(lx, ly, vx, wx, vy, wy)
-    coords = grid_coords(lx, ly)
-    groups = [[(r * lx + c, r2 * lx + c2) for (r, c), (r2, c2) in edges]
-              for edges in _lattice_edges(lx, ly).values() if edges]
+    target = ssh_hamiltonian_2d(lx, ly)
+    groups = [g for g in _lattice_edges(lx, ly).values() if g]
     layers = _mirror_layers(n, groups, depth, p, rng)
-    circuit = FermionCircuit(
-        n, layers, ground_state_covariance(target),
-        meta={"family": "fermion_brickwall_2d", "lx": lx, "ly": ly,
-              "depth": depth, "p": p, "seed": seed, "coords": coords})
+    circuit = FermionCircuit(n, layers, ground_state_covariance(target),
+                             grid_coords(lx, ly))
     return circuit, target
 
 
@@ -531,7 +516,7 @@ def _doubled_spectrum(m: np.ndarray):
     (e, mV, V) where e_i = |m v_i| (length 2N, every eps_x twice, so sums
     over modes are half sums over e).  Column norms keep zero modes near
     zero, where sqrt(L) would lift them to ~1e-8; energies below
-    1e-11*scale are set to exactly 0, as in canonical_form."""
+    _ZERO_MODE_TOL*scale are set to exactly 0, as in canonical_form."""
     s = m.T @ m
     w, v = np.linalg.eigh(s)
     scale = max(1.0, np.abs(m).max())
@@ -539,7 +524,7 @@ def _doubled_spectrum(m: np.ndarray):
         raise RuntimeError("eigendecomposition residual check failed")
     mv = m @ v
     e = np.linalg.norm(mv, axis=0)
-    e[e <= 1e-11 * scale] = 0.0
+    e[e <= _ZERO_MODE_TOL * scale] = 0.0
     return e, mv, v
 
 
@@ -641,11 +626,11 @@ def _unpack(theta: np.ndarray, consts: list[float], n: int,
 
 def default_fermion_initial_duals(circuit: FermionCircuit,
                                   target: QuadraticOp,
-                                  radius: int | None,
-                                  coords=None) -> list[QuadraticOp]:
+                                  radius: int | None) -> list[QuadraticOp]:
     """Heisenberg-image seed: sigma_d = -H, then backward adjoint steps with
-    locality projection after each step."""
+    locality projection (on the circuit's coords) after each step."""
     d = circuit.depth
+    coords = circuit.coords
     s_list = [None] * d
     s_list[d - 1] = project_local(-target, radius, coords)
     for t in range(d - 2, -1, -1):
@@ -654,12 +639,16 @@ def default_fermion_initial_duals(circuit: FermionCircuit,
     return s_list
 
 
+# L-BFGS-B stops once every projected gradient entry is below this.
+_LBFGS_GTOL = 1e-9
+
+
 def optimize_fermionic_dual(circuit: FermionCircuit, target: QuadraticOp,
                             radius: int | None, schedule: BoundSchedule,
-                            coords=None, init_s_list=None, maxiter: int = 60,
-                            gtol: float = 1e-9):
+                            init_s_list=None, maxiter: int = 60):
     """Maximize the fermionic information-content dual over quadratic duals
-    supported within ``radius`` (Manhattan distance on ``coords``).
+    supported within ``radius`` (Manhattan distance on the circuit's
+    coords).
 
     Uses L-BFGS-B with the analytic gradient
 
@@ -675,16 +664,14 @@ def optimize_fermionic_dual(circuit: FermionCircuit, target: QuadraticOp,
     below the seed's bound by more than 1e-9 (the best iterate is kept).
     """
     n = circuit.n_modes
-    if coords is None:
-        coords = circuit.meta.get("coords")
     if init_s_list is None:
-        s0 = default_fermion_initial_duals(circuit, target, radius, coords)
+        s0 = default_fermion_initial_duals(circuit, target, radius)
     else:
-        s0 = [project_local(s, radius, coords) for s in init_s_list]
+        s0 = [project_local(s, radius, circuit.coords) for s in init_s_list]
     if radius is None:
         mask = np.ones((2 * n, 2 * n), bool)
     else:
-        mask = locality_mask(n, radius, coords)
+        mask = locality_mask(circuit.coords, radius)
     rows, cols = np.where(np.triu(mask, k=1))
     consts = [s.constant for s in s0]
     x0 = _pack(s0, rows, cols)
@@ -713,7 +700,7 @@ def optimize_fermionic_dual(circuit: FermionCircuit, target: QuadraticOp,
         with blas_threads(scipy=1):
             scipy.optimize.minimize(
                 negative_with_grad, x0, jac=True, method="L-BFGS-B",
-                options={"maxiter": maxiter, "gtol": gtol})
+                options={"maxiter": maxiter, "gtol": _LBFGS_GTOL})
     else:
         negative_with_grad(x0)
     s_best = _unpack(best["x"], consts, n, rows, cols)

@@ -188,9 +188,7 @@ def free_energy_term(spec, c_nats: float, lam: float | None = None,
     return val, lam_star
 
 
-def info_bound(h, n: int, p: float, depth: int,
-               lambda_c: float = DEFAULT_TEMPERATURE_CUTOFF,
-               lambda_max: float = 1e9) -> BoundReport:
+def info_bound(h, n: int, p: float, depth: int) -> BoundReport:
     """Architecture-free lower bound from the output information content.
 
     After d layers of depolarizing noise at rate p the entropy is at least
@@ -200,19 +198,18 @@ def info_bound(h, n: int, p: float, depth: int,
         Tr(H rho_d) >= lambda * ln2 * S_d + G(H, lambda).
 
     The bound maximizes the right-hand side over lambda in
-    [lambda_c, lambda_max] (the objective is concave in lambda).
+    [lambda_c, 1e9], lambda_c = ``DEFAULT_TEMPERATURE_CUTOFF`` (the
+    objective is concave in lambda).
     ``h`` may be a dense Hermitian matrix, an MPO on <= 12 sites, or a
     :class:`TwoLevelModes` spectrum description (any size).
     """
-    if lambda_c <= 0.0:
-        raise ValueError("lambda_c must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     s_nats = LN2 * (n - n * (1.0 - p) ** depth)
-    val, lam_star = free_energy_term(_spectrum(h, n), s_nats, lo=lambda_c,
-                                     hi=lambda_max)
+    val, lam_star = free_energy_term(_spectrum(h, n), s_nats,
+                                     lo=DEFAULT_TEMPERATURE_CUTOFF)
     return BoundReport(
         method="info_only", n_sites=n, depth=depth, resource=0, p=float(p),
         theta=0.0, seed=0, bound=val, boundary_term=val, penalty_sum=0.0,
-        extra={"lambda_star": lam_star, "lambda_c": lambda_c})
+        extra={"lambda_star": lam_star})
 

@@ -273,6 +273,12 @@ def expectation_product_state(a: MPO, states: list[Array]) -> float:
     return float(v[0, 0])
 
 
+def _floor_rank(s: Array) -> int:
+    """How many of the descending singular values ``s`` exceed
+    SVAL_FLOOR * s[0], at least 1 (so 1 when s[0] = 0)."""
+    return max(1, int(np.sum(s > SVAL_FLOOR * s[0])))
+
+
 def compress(a: MPO, max_bond: int) -> tuple[MPO, float]:
     """SVD-truncate ``a`` to bond dimension ``max_bond``; returns the
     compressed MPO and the exact discarded norm
@@ -317,11 +323,7 @@ def compress(a: MPO, max_bond: int) -> tuple[MPO, float]:
         dl = c.shape[0]
         c = c.reshape(dl * 4, -1)
         u, s, _ = np.linalg.svd(c @ rts[k + 1], full_matrices=False)
-        if s.size and s[0] > 0.0:
-            keep = int(np.sum(s > SVAL_FLOOR * s[0]))
-        else:
-            keep = 1
-        keep = max(1, min(keep, max_bond))
+        keep = min(_floor_rank(s), max_bond)
         err2 += float(np.sum(s[keep:] ** 2))
         u = u[:, :keep]
         sites.append(u.reshape(dl, 4, keep))
@@ -367,7 +369,7 @@ def _ptm_factors(key: bytes) -> tuple[Array, Array]:
     """
     m = _ptm(key).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
     um, s, vh = np.linalg.svd(m)
-    k = max(1, int(np.sum(s > SVAL_FLOOR * s[0])))
+    k = _floor_rank(s)
     fa = (um[:, :k] * s[:k]).T.reshape(k, 4, 4)
     fb = vh[:k].reshape(k, 4, 4)
     fa.flags.writeable = False
@@ -418,10 +420,7 @@ def apply_gate_adjoint(a: MPO, gate: Array, sites: tuple[int, ...]) -> MPO:
         return MPO(tensors)
     theta = _ptm(key) @ np.tensordot(ti, tj, axes=(-1, 0)).reshape(dl, 16, dr)
     um, s, vh = np.linalg.svd(theta.reshape(dl * 4, 4 * dr), full_matrices=False)
-    if s.size and s[0] > 0.0:
-        keep = max(1, int(np.sum(s > SVAL_FLOOR * s[0])))
-    else:
-        keep = 1
+    keep = _floor_rank(s)
     tensors[i] = um[:, :keep].reshape(dl, 4, keep)
     tensors[j] = (s[:keep, None] * vh[:keep, :]).reshape(keep, 4, dr)
     return MPO(tensors)

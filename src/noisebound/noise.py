@@ -16,7 +16,7 @@ with fixed point tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -174,12 +174,13 @@ class BoundSchedule:
     """Certified per-step caps; ``values[t-1]`` applies after step t.
 
     kind: ``purity`` (caps on Tr rho_t^2), ``info`` (caps on I(rho_t) in
-    bits), or ``frobenius_distance`` (caps on ||rho_t - tau^xN||_F).
+    bits), or ``frobenius_distance`` (caps on ||rho_t - tau^xN||_F, with
+    the fixed point ``tau``).
     """
 
     kind: str
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
+    tau: Array | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -200,19 +201,19 @@ def purity_schedule(n: int, depth: int, p: float) -> BoundSchedule:
     """P_t = 2^{-n (1 - (1-p)^t)} for t = 1..depth."""
     t = np.arange(1, depth + 1)
     vals = np.exp2(-n * (1.0 - (1.0 - p) ** t))
-    return BoundSchedule("purity", vals, {"n": n, "depth": depth, "p": p})
+    return BoundSchedule("purity", vals)
 
 
 def info_schedule(n: int, depth: int, p: float) -> BoundSchedule:
     """I_t = n (1-p)^t bits for t = 1..depth."""
     t = np.arange(1, depth + 1)
     vals = n * (1.0 - p) ** t
-    return BoundSchedule("info", vals, {"n": n, "depth": depth, "p": p})
+    return BoundSchedule("info", vals)
 
 
-def max_replacement_fraction(model_or_choi, tau: Array,
-                             tol: float = 1e-10) -> float:
-    """Largest q with Phi_N - q I (x) tau >= 0, by eigenvalue bisection.
+def max_replacement_fraction(model_or_choi, tau: Array) -> float:
+    """Largest q with Phi_N - q I (x) tau >= 0, by eigenvalue bisection to
+    within 1e-10.
 
     This is the replacement fraction of the channel with respect to the
     fixed point tau.  Raises if the constraint is already infeasible at
@@ -239,7 +240,7 @@ def max_replacement_fraction(model_or_choi, tau: Array,
     hi = 1.0
     if feasible(hi):
         return 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid
@@ -318,7 +319,4 @@ def relative_entropy_schedule(circuit: "CircuitSpec", tau: Array, q: float,
                         "requires gates diagonal in the tau eigenbasis")
         dt_rel = (1.0 - q) * (dt_rel + 2.0 * gate_sum)
         d_vals.append((2.0 * dt_rel) ** 0.25)
-    return BoundSchedule(
-        "frobenius_distance", np.array(d_vals),
-        {"n": circuit.n_sites, "depth": len(circuit.layers), "q": q,
-         "tau": tau, "rho0_relent": float(rho0_relent)})
+    return BoundSchedule("frobenius_distance", np.array(d_vals), tau)

@@ -67,8 +67,10 @@ def _noise_model(cfg: ExperimentConfig, p: float) -> NoiseModel:
 def build_circuit(cfg: ExperimentConfig, pt: GridPoint):
     """Instantiate the circuit family at one grid point.
 
-    Returns (circuit, target, coords) where coords is the mode-coordinate
-    list for fermion families (None otherwise).
+    Returns (circuit, target, coords) where coords is the fermion
+    circuit's mode-coordinate list, ``circuit.coords`` (None for qubit
+    families).  The circuit carries its coords, so run_point ignores the
+    third value; bench/workloads.py unpacks it.
     """
     seed = point_seed(cfg.seed, pt.index)
     model = _noise_model(cfg, pt.p)
@@ -92,11 +94,11 @@ def build_circuit(cfg: ExperimentConfig, pt: GridPoint):
         return circ, target, None
     if cfg.family == "fermion_1d":
         circ, target = fermion.fermion_brickwall_1d(cfg.n, pt.depth, pt.p, seed)
-        return circ, target, circ.meta["coords"]
+        return circ, target, circ.coords
     if cfg.family == "fermion_2d":
         lx, ly = cfg.lattice
         circ, target = fermion.fermion_brickwall_2d(lx, ly, pt.depth, pt.p, seed)
-        return circ, target, circ.meta["coords"]
+        return circ, target, circ.coords
     raise ValueError(f"unknown family {cfg.family!r}")
 
 
@@ -154,7 +156,7 @@ def run_point(cfg: ExperimentConfig, pt: GridPoint) -> list[BoundReport]:
     MPO methods at the same bond dimension share a single Heisenberg TEBD
     sweep (building the dual dominates the cost, evaluating it is cheap).
     """
-    circuit, target, coords = build_circuit(cfg, pt)
+    circuit, target, _ = build_circuit(cfg, pt)
     n, d = cfg.n, pt.depth
     rows: list[BoundReport] = []
 
@@ -178,7 +180,7 @@ def run_point(cfg: ExperimentConfig, pt: GridPoint) -> list[BoundReport]:
         for r in sorted(cfg.radii):
             t0 = time.perf_counter()
             s_list, _, dv = fermion.optimize_fermionic_dual(
-                circuit, target, r, sched, coords=coords, init_s_list=init)
+                circuit, target, r, sched, init_s_list=init)
             init = s_list
             rows.append(_report(cfg, pt, "fermion_dual", r, dv.bound, dv.boundary,
                                 float(np.sum(dv.penalties)),

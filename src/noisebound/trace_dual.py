@@ -21,7 +21,7 @@ step has to restore Hermiticity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,12 +74,13 @@ class TebdDual:
     ``sigmas[t-1]`` is sigma_t; ``step_defects[t-1]`` upper-bounds
     ||sigma_t - E_{t+1}^dag(sigma_{t+1})||_F (and ||H + sigma_d||_F for the
     last step, which vanishes identically because sigma_d is built as an
-    exact copy of -H).
+    exact copy of -H).  ``max_bond`` is the bond dimension the sequence
+    was compressed to.
     """
 
     sigmas: list[MPO]
     step_defects: np.ndarray
-    meta: dict = field(default_factory=dict)
+    max_bond: int
 
 
 def heisenberg_tebd(circuit: CircuitSpec, target: MPO, max_bond: int) -> TebdDual:
@@ -110,7 +111,7 @@ def heisenberg_tebd(circuit: CircuitSpec, target: MPO, max_bond: int) -> TebdDua
         for t in range(d - 1, 0, -1):
             b = apply_layer_adjoint(sigmas[t], circuit.layers[t])
             sigmas[t - 1], defects[t - 1] = compress(b, max_bond)
-    return TebdDual(sigmas, defects, meta={"max_bond": int(max_bond)})
+    return TebdDual(sigmas, defects, int(max_bond))
 
 
 def boundary_term(circuit: CircuitSpec, sigma1: MPO) -> float:
@@ -193,7 +194,7 @@ def dual_value(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
             if kind == "purity":
                 penalties = np.sqrt(caps) * norms
             else:
-                taus = [schedule.meta["tau"]] * n
+                taus = [schedule.tau] * n
                 penalties = caps * norms - np.array(
                     [expectation_product_state(h, taus) for h in hs])
     return DualValue(boundary - float(np.sum(penalties)), boundary, penalties)
@@ -247,16 +248,21 @@ def _hermitian_direction(n: int, site: int, rng: np.random.Generator) -> MPO:
     return MPO(tensors)
 
 
+# refine_dual's central-difference step and first line-search step
+_FD_STEP = 1e-4
+_INIT_STEP = 0.05
+
+
 def refine_dual(circuit: CircuitSpec, dual: TebdDual, target: MPO,
                 schedule: BoundSchedule, *, rounds: int = 20,
-                fd_step: float = 1e-4, init_step: float = 0.05,
                 seed: int = 0) -> tuple[TebdDual, list[float]]:
     """Greedy local improvement of a TEBD dual sequence.
 
     Each round picks a random (layer, site) pair and a random Hermitian
     single-site direction, estimates the directional derivative of the
-    dual value under ``schedule`` by central finite differences, and line-searches
-    along the ascent direction with halving steps.  A candidate replaces
+    dual value under ``schedule`` by central finite differences (step
+    ``_FD_STEP``), and line-searches along the ascent direction with
+    halving steps from ``_INIT_STEP``.  A candidate replaces
     the current sequence only if its (explicitly re-evaluated) dual value
     strictly improves, so the returned value history is non-decreasing.
 
@@ -264,8 +270,6 @@ def refine_dual(circuit: CircuitSpec, dual: TebdDual, target: MPO,
     evaluation; the stored defect norms are recomputed explicitly since the
     TEBD error bookkeeping no longer applies to a perturbed sequence.
     """
-    max_bond = int(dual.meta.get("max_bond", max(
-        max(s.bond_dims) if s.bond_dims else 1 for s in dual.sigmas)))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     n, d = circuit.n_sites, circuit.depth
 
@@ -283,15 +287,15 @@ def refine_dual(circuit: CircuitSpec, dual: TebdDual, target: MPO,
         def shifted(eps: float) -> list[MPO]:
             cand = list(sigmas)
             moved = mpo_add(sigmas[t], mpo_scale(direction, eps))
-            moved, _ = compress(moved, max_bond)
+            moved, _ = compress(moved, dual.max_bond)
             cand[t] = moved
             return cand
 
-        g = (evaluate(shifted(fd_step)) - evaluate(shifted(-fd_step))) / (2 * fd_step)
+        g = (evaluate(shifted(_FD_STEP)) - evaluate(shifted(-_FD_STEP))) / (2 * _FD_STEP)
         if abs(g) < 1e-12:
             history.append(best)
             continue
-        step = init_step * np.sign(g)
+        step = _INIT_STEP * np.sign(g)
         for _ in range(6):
             cand = shifted(step)
             val = evaluate(cand)
@@ -302,5 +306,5 @@ def refine_dual(circuit: CircuitSpec, dual: TebdDual, target: MPO,
         history.append(best)
     out = TebdDual([s.copy() for s in sigmas],
                    explicit_defect_norms(circuit, sigmas, target),
-                   meta=dict(dual.meta))
+                   dual.max_bond)
     return out, history

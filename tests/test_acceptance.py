@@ -458,8 +458,7 @@ def test_10_optimizers_monotone_and_mpo_dense_equivalent():
         circ, target = fermion.fermion_brickwall_1d(
             6, d, p, int(rng.integers(2**31)))
         sched = info_schedule(6, d, p)
-        seed_duals = fermion.default_fermion_initial_duals(
-            circ, target, r, circ.meta["coords"])
+        seed_duals = fermion.default_fermion_initial_duals(circ, target, r)
         seed_val = fermion.fermionic_dual_value(
             seed_duals, circ, target, sched).bound
         s_opt, _, dv = fermion.optimize_fermionic_dual(

@@ -24,7 +24,6 @@ from noisebound.fermion import (
     FermionLayer,
     QuadraticOp,
     canonical_form,
-    chain_coords,
     check_covariance,
     covariance_layer_step,
     default_fermion_initial_duals,
@@ -130,8 +129,9 @@ def test_trusted_hot_path_matches_checking_constructor_bitwise():
     same(-a, -a.matrix)
     for f in (0.7, -0.7, 0.0):
         same(a.scaled(f), f * a.matrix)
-    mask = locality_mask(n, 1)
-    same(project_local(a, 1), np.where(mask, a.matrix, 0.0))
+    coords = grid_coords(n, 1)
+    mask = locality_mask(coords, 1)
+    same(project_local(a, 1, coords), np.where(mask, a.matrix, 0.0))
     layer = FermionLayer(random_op(n, 4), 0.2, (0, 2))
     r = layer.orthogonal_map()
     noisy = a.matrix * fermion._noise_multiplier(n, 0.2, (0, 2))
@@ -431,7 +431,7 @@ def test_ssh_2d_shapes_and_spectrum():
     assert abs(two_level_modes(op).offset) < 1e-10
     assert abs(two_level_modes(op).spectrum().max() - 1.0) < 1e-10
     assert grid_coords(3, 2) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    assert chain_coords(3) == [(0,), (1,), (2,)]
+    assert grid_coords(3, 1) == [(0, 0), (0, 1), (0, 2)]
 
 
 def test_fermion_mirror_noiseless():
@@ -463,6 +463,21 @@ def test_brickwall_generators_pinned():
         "47240a87da8e5dd0bdd0cff0cdf61124616bc79a6258e49e1f9bd0cc4e00b84a")
 
 
+def test_brickwall_1d_is_the_one_row_lattice():
+    """A chain circuit is bitwise the ly = 1 grid circuit: generators, noise,
+    target, initial covariance and coordinates."""
+    c1, t1 = fermion_brickwall_1d(9, 6, 0.05, 3)
+    c2, t2 = fermion_brickwall_2d(9, 1, 6, 0.05, 3)
+    assert len(c1.layers) == len(c2.layers)
+    for a, b in zip(c1.layers, c2.layers):
+        assert np.array_equal(a.generator.matrix, b.generator.matrix)
+        assert a.generator.constant == b.generator.constant
+        assert (a.p, a.depolarized_sites) == (b.p, b.depolarized_sites)
+    assert np.array_equal(t1.matrix, t2.matrix) and t1.constant == t2.constant
+    assert np.array_equal(c1.initial_covariance, c2.initial_covariance)
+    assert c1.coords == c2.coords == grid_coords(9, 1)
+
+
 def test_fermion_circuit_determinism_and_parity():
     a, _ = fermion_brickwall_1d(6, 4, 0.1, 30)
     b, _ = fermion_brickwall_1d(6, 4, 0.1, 30)
@@ -485,8 +500,8 @@ def test_noisy_output_energy_above_floor():
 
 def test_locality_mask_and_projection():
     n = 6
-    coords = chain_coords(n)
-    mask = locality_mask(n, 1, coords)
+    coords = grid_coords(n, 1)
+    mask = locality_mask(coords, 1)
     assert mask.shape == (2 * n, 2 * n)
     assert mask[0, 1] and mask[0, n]          # neighbors and partner blocks
     assert not mask[0, 3]                      # distance 3 > radius 1
@@ -573,7 +588,7 @@ def test_fixed_dual_value_pinned_at_scale():
     computed by the canonical-form evaluation."""
     circ, target = fermion_brickwall_1d(48, 24, 0.05, 97)
     sched = info_schedule(48, 24, 0.05)
-    s_list = default_fermion_initial_duals(circ, target, 1, circ.meta["coords"])
+    s_list = default_fermion_initial_duals(circ, target, 1)
     got = fermionic_dual_value(s_list, circ, target, sched).bound
     assert abs(got - (-0.15906885933480863)) < 1e-9
 
@@ -586,7 +601,7 @@ def test_lambda_search_stable_under_rescale():
     n, depth, p = 12, 8, 0.05
     circ, target = fermion_brickwall_1d(n, depth, p, 97)
     sched = info_schedule(n, depth, p)
-    s_list = default_fermion_initial_duals(circ, target, 1, circ.meta["coords"])
+    s_list = default_fermion_initial_duals(circ, target, 1)
     for t, ht in enumerate(_defect_ops(s_list, circ, target)):
         c_nats = LN2 * (n - float(sched.values[t]))
         _, lam, _ = _step_term_fermion(ht, c_nats, None)
@@ -632,9 +647,9 @@ def test_dual_gradient_matches_finite_differences():
     from noisebound.fermion import _dual_value_parts, _pack, _unpack
     circ, target, sched, _ = fermion_setup(n=6, depth=4, seed=27)
     n = circ.n_modes
-    mask = locality_mask(n, 1, chain_coords(n))
+    mask = locality_mask(circ.coords, 1)
     rows, cols = np.where(np.triu(mask, k=1))
-    s0 = default_fermion_initial_duals(circ, target, 1, chain_coords(n))
+    s0 = default_fermion_initial_duals(circ, target, 1)
     consts = [s.constant for s in s0]
     x0 = _pack(s0, rows, cols)
     k = rows.size
@@ -662,11 +677,10 @@ def test_dual_gradient_matches_finite_differences():
 
 def test_optimizer_improves_and_stays_sound():
     circ, target, sched, energy = fermion_setup(n=8, depth=4, p=0.1, seed=29)
-    coords = chain_coords(circ.n_modes)
-    seed_duals = default_fermion_initial_duals(circ, target, 1, coords)
+    seed_duals = default_fermion_initial_duals(circ, target, 1)
     seed_val = fermionic_dual_value(seed_duals, circ, target, sched)
     s_best, lams, val = optimize_fermionic_dual(
-        circ, target, 1, sched, coords=coords, maxiter=25)
+        circ, target, 1, sched, maxiter=25)
     assert val.bound >= seed_val.bound - 1e-9
     assert val.bound <= energy + 1e-8
     assert len(lams) == circ.depth
@@ -677,14 +691,33 @@ def test_optimizer_radius_chain_monotone():
     """Wider support can only help when each run is seeded with the
     previous optimum."""
     circ, target, sched, energy = fermion_setup(n=8, depth=4, p=0.1, seed=31)
-    coords = chain_coords(circ.n_modes)
     bounds = []
     s_prev = None
     for r in (0, 1, 2):
         s_prev, _, val = optimize_fermionic_dual(
-            circ, target, r, sched, coords=coords, init_s_list=s_prev,
-            maxiter=20)
+            circ, target, r, sched, init_s_list=s_prev, maxiter=20)
         bounds.append(val.bound)
         assert val.bound <= energy + 1e-8
     assert bounds[1] >= bounds[0] - 1e-9
     assert bounds[2] >= bounds[1] - 1e-9
+
+
+def test_grid_duals_are_local_on_the_grid():
+    """At r = 1 on a 3x3 grid, seed and optimized duals couple the vertical
+    neighbours 0 and 3 (grid distance 1, chain distance 3) and zero both
+    modes 0, 4 (grid distance 2) and the chain neighbours 2, 3 (grid
+    distance 3): radii are measured on the circuit's grid, not its chain."""
+    n, depth, p = 9, 4, 0.05
+    circ, target = fermion_brickwall_2d(3, 3, depth, p, 40)
+    sched = info_schedule(n, depth, p)
+    seed_duals = default_fermion_initial_duals(circ, target, 1)
+    opt_duals, _, _ = optimize_fermionic_dual(circ, target, 1, sched, maxiter=5)
+
+    def coupling(s, x, y):
+        return np.abs(s.matrix[np.ix_([x, n + x], [y, n + y])]).max()
+
+    for s_list in (seed_duals, opt_duals):
+        for s in s_list:
+            assert coupling(s, 0, 3) > 0.0
+            assert coupling(s, 0, 4) == 0.0
+            assert coupling(s, 2, 3) == 0.0

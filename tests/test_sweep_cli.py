@@ -184,6 +184,13 @@ def test_config_rejects_bad_values(tmp_path, old, new, field):
     assert err.value.path == field
 
 
+def test_config_rejects_negative_radius(tmp_path):
+    text = (FERMION_YAML.replace("radii: [0, 1]", "radii: [0, -1]")
+            .replace("OUTPUT", str(tmp_path / "o.csv")))
+    with pytest.raises(ConfigError, match=r"^ansatz\.radii\[1\]: must be nonnegative$"):
+        parse_config(text)
+
+
 BIG = "1" * 401
 
 
