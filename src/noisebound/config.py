@@ -4,29 +4,81 @@ A config names a circuit family, parameter grids (depth, theta, noise rate),
 the bound methods to run, and an ansatz-resource grid (MPO bond dimensions
 or fermionic interaction radii).  Validation errors carry the dotted field
 path of the offending entry.  parse -> serialize -> parse is the identity.
+Each circuit family is declared once, in :data:`FAMILIES`; ``parse_config``
+checks against it and ``sweep`` builds from it, so a valid config runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
+import numpy as np
 import yaml
 
+from . import circuits, fermion, info_dual
 from .mpo import _DENSE_SITE_CAP, _SPECTRUM_MODE_CAP
 from .report import METHODS
 
 SCHEMA_VERSION = 1
 
-FAMILIES = ("single_qubit", "brickwall_1d", "brickwall_2d", "clifford",
-            "fermion_1d", "fermion_2d")
 NOISE_MODELS = ("depolarizing", "unital_pauli", "nonunital")
-_FERMION_FAMILIES = ("fermion_1d", "fermion_2d")
 _MPO_METHODS = ("trace_dual", "tebd_error", "nonunital_dual")
-# families whose target spectrum is known in closed form at any n; the
-# others' spectrum methods diagonalize the target, so need n <= the dense cap
-_ANALYTIC_SPECTRUM_FAMILIES = ("single_qubit", "brickwall_1d", "clifford",
-                               "fermion_1d", "fermion_2d")
+_DEPTH_RULES = {"odd": lambda d: d % 2 == 1, "even": lambda d: d % 2 == 0,
+                "1": lambda d: d == 1}
+
+
+@dataclass(frozen=True)
+class Family:
+    """One circuit family.  ``build(cfg, pt, seed, noise)`` returns the
+    (circuit, target) of a grid point; ``modes(cfg, target)`` is the
+    closed-form target spectrum, or None when the spectrum methods
+    diagonalize the target (n <= 12); ``depth`` is "odd", "even" or "1"."""
+
+    build: Callable
+    modes: Callable | None
+    depth: str
+    lattice: bool               # sized by circuit.lattice, not circuit.n
+    noise_models: tuple[str, ...]
+    methods: tuple[str, ...]
+
+
+_QUBIT_METHODS = ("trace_dual", "tebd_error", "info_only", "purity_only")
+
+# Builders call circuits and fermion through the module, so the span tracer's
+# wrappers see each call.  single_qubit_circuit builds depolarizing noise only;
+# nonunital_dual needs ZZ entanglers, which brickwall_1d alone takes.
+FAMILIES: dict[str, Family] = {
+    "single_qubit": Family(
+        lambda cfg, pt, seed, noise: circuits.single_qubit_circuit(pt.theta, pt.p),
+        None, "1", False, ("depolarizing",), _QUBIT_METHODS),
+    "brickwall_1d": Family(
+        lambda cfg, pt, seed, noise: circuits.brickwall_1d(
+            cfg.n, pt.depth, pt.theta, pt.p, seed, noise=noise, entangler=(
+                circuits.zz_gate if cfg.noise_model == "nonunital" else circuits.xx_gate)),
+        lambda cfg, target: info_dual.chain_benchmark_modes(cfg.n),
+        "odd", False, NOISE_MODELS, _QUBIT_METHODS + ("nonunital_dual",)),
+    "brickwall_2d": Family(
+        lambda cfg, pt, seed, noise: circuits.brickwall_2d_snake(
+            *cfg.lattice, pt.depth, pt.theta, pt.p, seed, noise=noise),
+        None, "even", True, NOISE_MODELS, _QUBIT_METHODS),
+    "clifford": Family(
+        lambda cfg, pt, seed, noise: circuits.clifford_entangle_unentangle(
+            cfg.n, pt.depth, pt.p, seed, noise=noise),
+        lambda cfg, target: info_dual.TwoLevelModes(np.full(cfg.n, 2.0), -float(cfg.n)),
+        "even", False, NOISE_MODELS, _QUBIT_METHODS),
+    "fermion_1d": Family(
+        lambda cfg, pt, seed, noise: fermion.fermion_brickwall_1d(
+            cfg.n, pt.depth, pt.p, seed),
+        lambda cfg, target: fermion.two_level_modes(target),
+        "even", False, ("depolarizing",), ("fermion_dual", "info_only")),
+    "fermion_2d": Family(
+        lambda cfg, pt, seed, noise: fermion.fermion_brickwall_2d(
+            *cfg.lattice, pt.depth, pt.p, seed),
+        lambda cfg, target: fermion.two_level_modes(target),
+        "even", True, ("depolarizing",), ("fermion_dual", "info_only")),
+}
 
 
 class ConfigError(ValueError):
@@ -89,7 +141,7 @@ def _listify(value, path: str, kind, positive=False) -> list:
 
 def check_oracle_size(family: str, n: int) -> None:
     """Only the dense oracle of the qubit families is capped in size."""
-    if family not in _FERMION_FAMILIES and n > _DENSE_SITE_CAP:
+    if "fermion_dual" not in FAMILIES[family].methods and n > _DENSE_SITE_CAP:
         raise ConfigError("oracle", f"the dense oracle needs n <= "
                           f"{_DENSE_SITE_CAP}, got n = {n}")
 
@@ -109,11 +161,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(circuit, dict):
         raise ConfigError("circuit", "must be a mapping")
     family = circuit.get("family")
-    if family not in FAMILIES:
-        raise ConfigError("circuit.family", f"must be one of {FAMILIES}, got {family!r}")
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ConfigError("circuit.family",
+                          f"must be one of {tuple(FAMILIES)}, got {family!r}")
+    fam = FAMILIES[family]
 
     lattice = None
-    if family in ("brickwall_2d", "fermion_2d"):
+    if fam.lattice:
         lattice = circuit.get("lattice")
         if (not isinstance(lattice, list) or len(lattice) != 2
                 or not all(_is_int(v) and v >= 1 for v in lattice)):
@@ -135,13 +189,8 @@ def parse_config(text: str) -> ExperimentConfig:
             n = n_raw
 
     depths = _listify(circuit.get("depth"), "circuit.depth", int, positive=True)
-    if family == "single_qubit" and depths != [1]:
-        raise ConfigError("circuit.depth", "single_qubit circuits have depth 1")
-    if family == "brickwall_1d" and any(d % 2 == 0 for d in depths):
-        raise ConfigError("circuit.depth", "brickwall_1d depths must be odd")
-    if family in ("brickwall_2d", "clifford", "fermion_1d", "fermion_2d") \
-            and any(d % 2 for d in depths):
-        raise ConfigError("circuit.depth", f"{family} depths must be even")
+    if not all(map(_DEPTH_RULES[fam.depth], depths)):
+        raise ConfigError("circuit.depth", f"{family} depths must be {fam.depth}")
     thetas = _listify(circuit.get("theta", 0.0), "circuit.theta", float)
 
     noise = raw.get("noise")
@@ -154,6 +203,9 @@ def parse_config(text: str) -> ExperimentConfig:
     for i, p in enumerate(ps):
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"noise.p[{i}]", "must lie in [0, 1]")
+        if model == "unital_pauli" and p == 1.0:
+            raise ConfigError(f"noise.p[{i}]",
+                              "unital_pauli needs px + py + pz < 1, so p < 1")
     eps = noise.get("eps", 0.0)
     if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not -0.5 < eps < 0.5:
         raise ConfigError("noise.eps", "must be a number in (-1/2, 1/2)")
@@ -174,10 +226,9 @@ def parse_config(text: str) -> ExperimentConfig:
     for i, m in enumerate(methods):
         if m not in METHODS:
             raise ConfigError(f"methods[{i}]", f"unknown method {m!r}")
-        if m == "fermion_dual" and family not in _FERMION_FAMILIES:
-            raise ConfigError(f"methods[{i}]", "fermion_dual needs a fermion family")
-        if m in _MPO_METHODS and family in _FERMION_FAMILIES:
-            raise ConfigError(f"methods[{i}]", f"{m} needs a qubit circuit family")
+        if m not in fam.methods:
+            raise ConfigError(f"methods[{i}]", f"{m} does not run on {family}, "
+                              f"which runs {', '.join(fam.methods)}")
         if m == "nonunital_dual" and model != "nonunital":
             raise ConfigError(f"methods[{i}]", "nonunital_dual needs noise.model nonunital")
         if m in ("trace_dual", "info_only", "purity_only", "fermion_dual") \
@@ -185,7 +236,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"methods[{i}]",
                               f"{m} requires a unital noise model")
         if m in ("info_only", "purity_only") and n > _DENSE_SITE_CAP \
-                and family not in _ANALYTIC_SPECTRUM_FAMILIES:
+                and fam.modes is None:
             raise ConfigError(f"methods[{i}]",
                               f"{m} needs the spectrum of the {family} target, "
                               f"available only for n <= {_DENSE_SITE_CAP}; "
@@ -194,8 +245,13 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"methods[{i}]",
                               "purity_only enumerates the full target spectrum, "
                               f"capped at n <= {_SPECTRUM_MODE_CAP}; got n = {n}")
-    if family in _FERMION_FAMILIES and model != "depolarizing":
-        raise ConfigError("noise.model", "fermion families support depolarizing only")
+    if model not in fam.noise_models:
+        raise ConfigError("noise.model", f"{family} builds {fam.noise_models} only")
+    if "nonunital_dual" in methods:
+        for i, p in enumerate(ps):
+            if not 0.0 < p < 1.0:
+                raise ConfigError(f"noise.p[{i}]", "nonunital_dual needs a "
+                                  "replacement fraction in (0, 1), so 0 < p < 1")
 
     ansatz = raw.get("ansatz", {})
     if not isinstance(ansatz, dict):
@@ -259,7 +315,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     noise: dict = {"model": cfg.noise_model, "p": cfg.ps, "eps": cfg.eps}
     if cfg.pauli_rates is not None:
         noise["pauli_rates"] = list(cfg.pauli_rates)
-    out = {
+    return {
         "schema": SCHEMA_VERSION,
         "circuit": circuit,
         "noise": noise,
@@ -270,7 +326,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "oracle": cfg.oracle,
         "timings": cfg.timings,
     }
-    return out
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -199,17 +199,23 @@ def info_bound(h, n: int, p: float, depth: int) -> BoundReport:
 
     The bound maximizes the right-hand side over lambda in
     [lambda_c, 1e9], lambda_c = ``DEFAULT_TEMPERATURE_CUTOFF`` (the
-    objective is concave in lambda).
+    objective is concave in lambda), capped at the mean energy Tr(H)/2^n:
+    the maximally mixed state meets every floor S_d <= n, so the optimum
+    is at most its energy, and the cap only removes the rounding of
+    lambda * c - lambda * ln Z at large lambda (p = 1 gives lambda = 1e9).
     ``h`` may be a dense Hermitian matrix, an MPO on <= 12 sites, or a
     :class:`TwoLevelModes` spectrum description (any size).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     s_nats = LN2 * (n - n * (1.0 - p) ** depth)
-    val, lam_star = free_energy_term(_spectrum(h, n), s_nats,
-                                     lo=DEFAULT_TEMPERATURE_CUTOFF)
+    spec = _spectrum(h, n)
+    val, _ = free_energy_term(spec, s_nats, lo=DEFAULT_TEMPERATURE_CUTOFF)
+    if isinstance(spec, TwoLevelModes):
+        mean = spec.offset + float(np.sum(spec.gaps)) / 2.0
+    else:
+        mean = float(np.mean(spec))
+    val = min(val, mean)
     return BoundReport(
         method="info_only", n_sites=n, depth=depth, resource=0, p=float(p),
-        theta=0.0, seed=0, bound=val, boundary_term=val, penalty_sum=0.0,
-        extra={"lambda_star": lam_star})
-
+        theta=0.0, seed=0, bound=val, boundary_term=val, penalty_sum=0.0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 CSV_COLUMNS = ("method", "N", "d", "D_or_r", "p", "theta", "seed",
@@ -39,7 +39,6 @@ class BoundReport:
     boundary_term: float = 0.0
     penalty_sum: float = 0.0
     wall_time_s: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.method not in METHODS:

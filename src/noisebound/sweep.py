@@ -7,7 +7,8 @@ one).  Points run concurrently with a bounded worker count taken from the
 thread counts to its share of the cores), results are flushed to the
 output file as they complete, and the final file is rewritten in a sorted,
 deterministic order.  Per-point RNG streams are keyed by (master seed,
-point index) so results are independent of execution order.
+point index) so results are independent of execution order.  Circuits and
+target spectra come from the family table ``config.FAMILIES``.
 """
 
 from __future__ import annotations
@@ -16,18 +17,17 @@ import concurrent.futures
 import itertools
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuits, exact, fermion, info_dual, trace_dual
+from . import exact, fermion, info_dual, trace_dual
 from ._blas import limit_threads
-from .config import _MPO_METHODS, ExperimentConfig
-from .mpo import _DENSE_SITE_CAP, MPO
+from .config import _MPO_METHODS, FAMILIES, ExperimentConfig
 from .noise import (BoundSchedule, NoiseModel, biased_tau, depolarizing,
                     info_schedule, max_replacement_fraction, purity_schedule,
                     relative_entropy_schedule, relent_product_state,
-                    unital_pauli, unital_rate)
+                    replacement, unital_pauli, unital_rate)
 from .report import CSV_COLUMNS, BoundReport, write_csv
 
 WORKERS_ENV = "NOISEBOUND_WORKERS"
@@ -60,70 +60,23 @@ def _noise_model(cfg: ExperimentConfig, p: float) -> NoiseModel:
         rates = p * w / w.sum()
         return unital_pauli(*rates)
     # nonunital: replacement toward a biased fixed point
-    from .noise import replacement
     return replacement(p, biased_tau(cfg.eps))
 
 
 def build_circuit(cfg: ExperimentConfig, pt: GridPoint):
-    """Instantiate the circuit family at one grid point.
-
-    Returns (circuit, target, coords) where coords is the fermion
-    circuit's mode-coordinate list, ``circuit.coords`` (None for qubit
-    families).  The circuit carries its coords, so run_point ignores the
-    third value; bench/workloads.py unpacks it.
-    """
-    seed = point_seed(cfg.seed, pt.index)
-    model = _noise_model(cfg, pt.p)
-    if cfg.family == "single_qubit":
-        circ, target = circuits.single_qubit_circuit(pt.theta, pt.p)
-        return circ, target, None
-    if cfg.family == "brickwall_1d":
-        entangler = circuits.zz_gate if cfg.noise_model == "nonunital" else circuits.xx_gate
-        circ, target = circuits.brickwall_1d(
-            cfg.n, pt.depth, pt.theta, pt.p, seed, noise=model,
-            entangler=entangler)
-        return circ, target, None
-    if cfg.family == "brickwall_2d":
-        lx, ly = cfg.lattice
-        circ, target = circuits.brickwall_2d_snake(
-            lx, ly, pt.depth, pt.theta, pt.p, seed, noise=model)
-        return circ, target, None
-    if cfg.family == "clifford":
-        circ, target = circuits.clifford_entangle_unentangle(
-            cfg.n, pt.depth, pt.p, seed, noise=model)
-        return circ, target, None
-    if cfg.family == "fermion_1d":
-        circ, target = fermion.fermion_brickwall_1d(cfg.n, pt.depth, pt.p, seed)
-        return circ, target, circ.coords
-    if cfg.family == "fermion_2d":
-        lx, ly = cfg.lattice
-        circ, target = fermion.fermion_brickwall_2d(lx, ly, pt.depth, pt.p, seed)
-        return circ, target, circ.coords
-    raise ValueError(f"unknown family {cfg.family!r}")
+    """The family's (circuit, target, coords) at one grid point; coords are
+    a fermion circuit's mode coordinates (None for qubit families), which
+    run_point ignores and bench/workloads.py unpacks."""
+    circ, target = FAMILIES[cfg.family].build(
+        cfg, pt, point_seed(cfg.seed, pt.index), _noise_model(cfg, pt.p))
+    return circ, target, getattr(circ, "coords", None)
 
 
-def _target_modes(cfg: ExperimentConfig, target) -> info_dual.TwoLevelModes | None:
-    """Analytic spectrum descriptor for families that have one."""
-    if cfg.family == "brickwall_1d":
-        return info_dual.chain_benchmark_modes(cfg.n)
-    if cfg.family == "clifford":
-        return info_dual.TwoLevelModes(np.full(cfg.n, 2.0), -float(cfg.n))
-    if cfg.family in ("fermion_1d", "fermion_2d"):
-        return fermion.two_level_modes(target)
-    return None
-
-
-def _target_spectrum(cfg: ExperimentConfig, target) -> np.ndarray:
-    modes = _target_modes(cfg, target)
-    if modes is not None:
-        return modes.spectrum()
-    if isinstance(target, MPO):
-        if target.n_sites > _DENSE_SITE_CAP:
-            raise ValueError(
-                "purity_only needs the target spectrum; not available for "
-                f"this family at n = {target.n_sites}")
-        return info_dual._spectrum(target, target.n_sites)
-    raise ValueError("no spectrum access for this target")
+def _target_spectrum(cfg: ExperimentConfig, target):
+    """The family's closed-form target spectrum, else the target itself,
+    which the spectrum methods diagonalize (the config caps it at n <= 12)."""
+    modes = FAMILIES[cfg.family].modes
+    return target if modes is None else modes(cfg, target)
 
 
 def _report(cfg: ExperimentConfig, pt: GridPoint, method: str, resource: int,
@@ -188,17 +141,15 @@ def run_point(cfg: ExperimentConfig, pt: GridPoint) -> list[BoundReport]:
 
     if "info_only" in cfg.methods:
         t0 = time.perf_counter()
-        modes = _target_modes(cfg, target)
-        rep = info_dual.info_bound(modes if modes is not None else target,
-                                   n, pt.p, d)
-        rows.append(replace(
-            rep, n_sites=n, depth=d, p=pt.p, theta=pt.theta, seed=cfg.seed,
-            wall_time_s=(time.perf_counter() - t0) if cfg.timings else 0.0,
-            extra={}))
+        val = info_dual.info_bound(_target_spectrum(cfg, target), n, pt.p, d).bound
+        rows.append(_report(cfg, pt, "info_only", 0, val, val, 0.0,
+                            time.perf_counter() - t0))
 
     if "purity_only" in cfg.methods:
         t0 = time.perf_counter()
-        spec = _target_spectrum(cfg, target)
+        spec = info_dual._spectrum(_target_spectrum(cfg, target), n)
+        if isinstance(spec, info_dual.TwoLevelModes):
+            spec = spec.spectrum()
         if cfg.family == "single_qubit":
             # depth-1 product circuit: the output purity is exact, not
             # just the generic schedule cap

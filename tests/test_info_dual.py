@@ -18,6 +18,7 @@ from noisebound.info_dual import (
     DEFAULT_TEMPERATURE_CUTOFF,
     LN2,
     TwoLevelModes,
+    _spectrum,
     chain_benchmark_modes,
     free_energy_term,
     gibbs_free_energy_dense,
@@ -203,10 +204,22 @@ def test_info_bound_zero_hamiltonian_closed_form():
     """H = 0: the objective is linear in lambda with negative slope, so the
     cutoff endpoint is optimal: bound = -lambda_c ln2 n (1-p)^d."""
     n, p, d = 3, 0.2, 4
-    rep = info_bound(np.zeros((2**n, 2**n)), n, p, d)
+    h = np.zeros((2**n, 2**n))
+    rep = info_bound(h, n, p, d)
     want = -DEFAULT_TEMPERATURE_CUTOFF * LN2 * n * (1 - p) ** d
     assert abs(rep.bound - want) < 1e-9 * abs(want)
-    assert rep.extra["lambda_star"] == pytest.approx(DEFAULT_TEMPERATURE_CUTOFF)
+    s_nats = LN2 * (n - n * (1 - p) ** d)
+    _, lam = free_energy_term(_spectrum(h, n), s_nats,
+                              lo=DEFAULT_TEMPERATURE_CUTOFF)
+    assert lam == pytest.approx(DEFAULT_TEMPERATURE_CUTOFF)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_info_bound_at_full_noise_is_capped_at_the_mean_energy(n):
+    """At p = 1 the search ends at lambda = 1e9, where lambda c - lambda ln Z
+    rounds above the mean energy 1/2 of the chain target by ~1e-6; the
+    bound is capped at the mean, which the maximally mixed state attains."""
+    assert info_bound(chain_benchmark_modes(n), n, 1.0, 3).bound == 0.5
 
 
 def test_info_bound_monotone_in_noise():

@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from noisebound import cli, sweep
 from noisebound.config import (
+    FAMILIES,
+    NOISE_MODELS,
     ConfigError,
     ExperimentConfig,
     load_config,
@@ -26,6 +28,7 @@ from noisebound.report import (
     CSV_COLUMNS,
     BoundReport,
     config_digest,
+    METHODS,
     read_csv,
     write_csv,
 )
@@ -289,16 +292,14 @@ def test_config_rejects_spectrum_methods_without_spectrum(tmp_path):
 @pytest.mark.parametrize("circuit", [
     "family: brickwall_1d\n  n: N\n  depth: [3]",
     "family: clifford\n  n: N\n  depth: [2]",
-    "family: fermion_1d\n  n: N\n  depth: [2]",
     "family: brickwall_2d\n  lattice: [3, 7]\n  depth: [2]",
-    "family: fermion_2d\n  lattice: [3, 7]\n  depth: [2]",
 ])
 def test_config_caps_purity_only_at_the_spectrum_limit(tmp_path, circuit):
-    """purity_only enumerates all 2^n target energies, so above 20 sites or
-    modes it is rejected at the config, naming the method, on every family."""
+    """purity_only enumerates all 2^n target energies, so above 20 sites it
+    is rejected at the config, naming the method, on every family that runs
+    it."""
     text = (BASE_YAML.replace("family: brickwall_1d\n  n: 3\n  depth: [1, 3]", circuit)
             .replace("trace_dual, tebd_error, info_only, purity_only", "purity_only")
-            .replace("bond_dims: [4]", "radii: [0]" if "fermion" in circuit else "bond_dims: [4]")
             .replace("OUTPUT", str(tmp_path / "o.csv")))
     if "n: N" in text:
         assert parse_config(text.replace("n: N", "n: 20")).n == 20
@@ -329,6 +330,108 @@ def test_config_caps_bond_dims_at_the_largest_schmidt_rank(tmp_path, n, bonds, b
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.path == f"ansatz.bond_dims[{bad}]"
+
+
+_FAMILY_YAML = """\
+schema: 1
+circuit:
+  family: {family}
+  {size}
+  depth: [{depth}]
+  theta: [0.1]
+noise:
+  model: {model}
+  p: [{p}]{rates}
+methods: [{method}]
+ansatz:
+  bond_dims: [{bond}]
+  radii: [0]
+seed: 5
+output: {output}
+"""
+_NOISE_KIND = {"depolarizing": "depolarizing", "unital_pauli": "unital_pauli",
+               "nonunital": "replacement"}
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 1.0])
+def test_every_config_that_validates_runs(tmp_path, p):
+    """Every family x noise model x single method at the smallest sizes: a
+    config either fails at the model, the rate or the method, or it runs on
+    the circuit it describes, with every bound below the exact energy."""
+    problems, admitted = [], {family: 0 for family in FAMILIES}
+    for family, fam in FAMILIES.items():
+        size = ("lattice: [2, 2]" if fam.lattice
+                else "n: 1" if family == "single_qubit" else "n: 3")
+        for model in NOISE_MODELS:
+            rates = "\n  pauli_rates: [0.2, 0.2, 0.4]" if model == "unital_pauli" else ""
+            rates += "\n  eps: 0.2" if model == "nonunital" else ""
+            for method in METHODS:
+                text = _FAMILY_YAML.format(
+                    family=family, size=size, depth=2 if fam.depth == "even" else 1,
+                    model=model, p=p, rates=rates, method=method,
+                    bond=1 if family == "single_qubit" else 2,
+                    output=tmp_path / "o.csv")
+                where = f"{family}/{model}/{method}/p={p}"
+                try:
+                    cfg = parse_config(text)
+                except ConfigError as err:
+                    if err.path not in ("noise.model", "noise.p[0]", "methods[0]"):
+                        problems.append(f"{where}: {err}")
+                    continue
+                admitted[family] += 1
+                pt = sweep.expand_grid(cfg)[0]
+                rows = sweep.run_point_safe(cfg, pt)
+                if isinstance(rows, str):
+                    problems.append(f"{where}: {rows}")
+                    continue
+                problems += [f"{where}: {line}" for line in cli.oracle_check(cfg, rows)]
+                circuit, _, _ = sweep.build_circuit(cfg, pt)
+                if p > 0 and "fermion_dual" not in fam.methods:
+                    kinds = {layer.noise.kind for layer in circuit.layers}
+                    if kinds != {_NOISE_KIND[model]}:
+                        problems.append(f"{where}: built {kinds} noise")
+    assert not problems, "\n".join(problems)
+    assert all(admitted.values()), admitted
+
+
+@pytest.mark.parametrize("family,size,depth,model,method,field", [
+    ("brickwall_2d", "lattice: [2, 2]", 2, "nonunital", "nonunital_dual", "methods[0]"),
+    ("clifford", "n: 3", 2, "nonunital", "nonunital_dual", "methods[0]"),
+    ("fermion_1d", "n: 3", 2, "depolarizing", "purity_only", "methods[0]"),
+    ("fermion_2d", "lattice: [2, 2]", 2, "depolarizing", "purity_only", "methods[0]"),
+    ("single_qubit", "n: 1", 1, "unital_pauli", "trace_dual", "noise.model"),
+    ("single_qubit", "n: 1", 1, "nonunital", "tebd_error", "noise.model"),
+], ids=["nonunital_dual-brickwall_2d", "nonunital_dual-clifford",
+        "purity_only-fermion_1d", "purity_only-fermion_2d",
+        "single_qubit-unital_pauli", "single_qubit-nonunital"])
+def test_validate_rejects_what_the_family_cannot_run(tmp_path, capsys, family, size,
+                                                      depth, model, method, field):
+    rates = "\n  pauli_rates: [0.2, 0.2, 0.4]" if model == "unital_pauli" else ""
+    path, _ = write_config(tmp_path, _FAMILY_YAML.format(
+        family=family, size=size, depth=depth, model=model, p=0.1, rates=rates,
+        method=method, bond=1, output="OUTPUT"))
+    assert cli.main(["validate", path]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model,method,p", [
+    ("unital_pauli", "trace_dual", 1.0),
+    ("nonunital", "nonunital_dual", 0.0),
+    ("nonunital", "nonunital_dual", 1.0),
+])
+def test_config_rejects_rates_the_noise_cannot_take(tmp_path, model, method, p):
+    """unital_pauli needs p < 1 and nonunital_dual 0 < p < 1; tebd_error
+    under non-unital noise takes every p in [0, 1]."""
+    rates = "\n  pauli_rates: [0.2, 0.2, 0.4]" if model == "unital_pauli" else ""
+    text = _FAMILY_YAML.format(
+        family="brickwall_1d", size="n: 3", depth=1, model=model,
+        p=f"0.5, {p}", rates=rates, method=method, bond=2,
+        output=tmp_path / "o.csv")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.path == "noise.p[1]"
+    if model == "nonunital":
+        assert parse_config(text.replace(method, "tebd_error")).ps == [0.5, p]
 
 
 # ---------------------------------------------------------------------------
