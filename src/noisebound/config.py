@@ -173,6 +173,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 or not all(_is_int(v) and v >= 1 for v in lattice)):
             raise ConfigError("circuit.lattice", "need [lx, ly] with positive ints")
         n = lattice[0] * lattice[1]
+        if n < 2:
+            raise ConfigError("circuit.lattice",
+                              f"{family} needs at least two sites, got {lattice}")
         if "n" in circuit and (not _is_int(circuit["n"]) or circuit["n"] != n):
             raise ConfigError("circuit.n", f"inconsistent with lattice ({n})")
     else:
@@ -184,8 +187,9 @@ def parse_config(text: str) -> ExperimentConfig:
             if n != 1:
                 raise ConfigError("circuit.n", "single_qubit circuits have n=1")
         else:
-            if n_raw is None or n_raw < 1:
-                raise ConfigError("circuit.n", "must be a positive integer")
+            if n_raw is None or n_raw < 2:
+                raise ConfigError("circuit.n", f"{family} needs an integer n >= 2, "
+                                  f"got {n_raw!r}")
             n = n_raw
 
     depths = _listify(circuit.get("depth"), "circuit.depth", int, positive=True)

@@ -3,10 +3,12 @@ Heisenberg propagation for Clifford circuits, and Fock-space fermion helpers.
 
 Everything here is meant as ground truth for the approximate machinery, so
 it is written independently of it; dense routines are guarded to n <= 12
-qubits.  The dense simulator fuses each layer into a few superoperators
-(see :func:`dense_simulate`), built straight from the gate matrices and the
-channel's superoperator, never from the Pauli transfer matrices of
-:mod:`noisebound.mpo`: a fault in those must not cancel out of the check.
+qubits.  The dense simulator (see :func:`dense_simulate`) holds the state
+as its real vector of 4^n Pauli coefficients and fuses each layer into a
+few real Pauli transfer matrices.  It builds them from the gate matrices
+and the channel's superoperator, through a Pauli basis defined here, and
+never from the transfer matrices of :mod:`noisebound.mpo`: a fault in those
+must not cancel out of the check.
 """
 
 from __future__ import annotations
@@ -18,6 +20,13 @@ import numpy as np
 from .circuits import CircuitSpec, Layer
 from .mpo import _DENSE_SITE_CAP, _EYE2, _SPECTRUM_MODE_CAP, MPO, PAULI, Array
 from .noise import superop_matrix
+
+# B_a = P_a / sqrt(2) over P = (I, X, Y, Z), orthonormal under Tr(A B).
+# _TO_PAULI[a, (r c)] = conj(B_a[r, c]) maps a row-major vec(A) to the
+# coefficients Tr(B_a A); it is unitary, and real coefficients are a
+# Hermitian operator.
+_TO_PAULI = (np.stack([PAULI[ch] for ch in "IXYZ"]) / np.sqrt(2.0)).conj().reshape(4, 4)
+_TO_PAULI2 = np.kron(_TO_PAULI, _TO_PAULI)
 
 
 def _superop(u: Array) -> Array:
@@ -41,15 +50,31 @@ def _on_slot(m: Array, op: Array, slot: int) -> Array:
     return np.matmul(m, op.reshape(d**slot, d, -1)).reshape(op.shape)
 
 
+def _real(z: Array, message: str) -> Array:
+    """The real part of Pauli-basis data that must be real, else raise."""
+    if np.abs(z.imag).max() > 1e-12 * max(1.0, np.abs(z).max()):
+        raise ValueError(message)
+    return z.real
+
+
+def _pauli_transfer(sup: Array) -> Array:
+    """The real Pauli transfer matrix T sup T^dag of a one- or two-site
+    superoperator; a map that does not preserve Hermiticity raises."""
+    t = _TO_PAULI if sup.shape[0] == 4 else _TO_PAULI2
+    return _real(t @ sup @ t.conj().T, "the layer does not preserve "
+                 "Hermiticity: its Pauli transfer matrix is not real")
+
+
 def _fused_layer(layer: Layer, n: int) -> list[tuple[tuple[int, ...], Array]]:
     """One layer (its gates in order, then the noise channel on every site)
-    as a list of (sites, superoperator) to apply in order.
+    as a list of (sites, Pauli transfer matrix) to apply in order, with the
+    sites of each op ascending.
 
     A single-site gate folds into the last gate that touched its site, or,
     when none has yet, into the next two-site gate on it; one left on its
     own becomes a one-site op, and so does a site no gate touches.  The
-    fused unitaries become superoperators, and each site's channel folds
-    into the last op on that site.
+    fused unitaries become superoperators, each site's channel folds into
+    the last op on that site, and each op becomes its transfer matrix.
     """
     ops: list[list] = []            # [sites, fused unitary]
     last: dict[int, int] = {}       # site -> index of the last op on it
@@ -63,8 +88,9 @@ def _fused_layer(layer: Layer, n: int) -> list[tuple[tuple[int, ...], Array]]:
             else:
                 pending[s] = g.matrix @ pending.get(s, _EYE2)
         else:
-            before = np.kron(pending.pop(g.sites[0], _EYE2),
-                             pending.pop(g.sites[1], _EYE2))
+            before = np.multiply.outer(pending.pop(g.sites[0], _EYE2),
+                                       pending.pop(g.sites[1], _EYE2))
+            before = before.transpose(0, 2, 1, 3).reshape(4, 4)
             last.update(dict.fromkeys(g.sites, len(ops)))
             ops.append([g.sites, g.matrix @ before])
     for s in range(n):
@@ -78,18 +104,67 @@ def _fused_layer(layer: Layer, n: int) -> list[tuple[tuple[int, ...], Array]]:
         for slot, s in enumerate(sites):
             if last[s] == i:
                 sup = _on_slot(k, sup, slot)
-        fused.append((sites, sup))
+        ptm = _pauli_transfer(sup)
+        if sites[0] > sites[-1]:
+            # a reversed pair: swap the two site slots of both indices
+            ptm = ptm.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
+            sites = sites[::-1]
+        fused.append((sites, ptm))
     return fused
 
 
-def _apply_superop(rt: Array, sup: Array, sites: tuple[int, ...], n: int) -> Array:
-    """Apply a fused superoperator to the state tensor (rows, then columns)
-    by one contraction over its sites' row and column axes."""
-    k = len(sites)
-    axes = [ax for s in sites for ax in (s, n + s)]
-    out = np.tensordot(sup.reshape((2,) * (4 * k)), rt,
-                       axes=(list(range(2 * k, 4 * k)), axes))
-    return np.moveaxis(out, list(range(2 * k)), axes)
+def _apply_ptm(r: Array, out: Array, ptm: Array, sites: tuple[int, ...],
+               n: int) -> None:
+    """out <- ``ptm`` applied to the coefficient vector r on ascending
+    ``sites``: consecutive sites by one matmul on the (4^i, 4^k, rest)
+    view, others by a contraction over their axes."""
+    i, k = sites[0], len(sites)
+    if sites[-1] - i == k - 1:
+        left, mid, right = 4**i, 4**k, 4 ** (n - i - k)
+        if right == 1:
+            np.matmul(r.reshape(left, mid), ptm.T, out=out.reshape(left, mid))
+        elif left == 1:
+            np.matmul(ptm, r.reshape(mid, right), out=out.reshape(mid, right))
+        else:
+            np.matmul(ptm, r.reshape(left, mid, right),
+                      out=out.reshape(left, mid, right))
+        return
+    t = np.tensordot(ptm.reshape((4,) * (2 * k)), r.reshape((4,) * n),
+                     axes=(list(range(k, 2 * k)), list(sites)))
+    out.reshape((4,) * n)[...] = np.moveaxis(t, list(range(k)), list(sites))
+
+
+def _per_site(v: Array, m: Array, n: int) -> Array:
+    """The 4x4 matrix m applied to each of the n site axes of v (length 4^n,
+    site 0 slowest); each pass moves the site it transformed to the end."""
+    for _ in range(n):
+        v = (m @ v.reshape(4, -1)).T
+    return v.reshape(-1)
+
+
+def _pauli_coeffs(h: Array, n: int) -> Array:
+    """Real parts of the Pauli coefficients Tr(B_a h) of a 2^n x 2^n matrix,
+    so that coeffs . r = Re Tr(h^dag rho) (= Tr(h rho) for Hermitian h)."""
+    pairs = [ax for s in range(n) for ax in (s, n + s)]
+    vec = np.asarray(h).reshape((2,) * (2 * n)).transpose(pairs)
+    return _per_site(vec, _TO_PAULI, n).real
+
+
+def _mpo_coeffs(h: MPO) -> Array:
+    """The 4^n coefficient vector of an MPO, whose site tensors already hold
+    coefficients over the same basis."""
+    v = np.ones((1, 1))
+    for t in h.tensors:
+        v = (v @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[2])
+    return v.reshape(-1)
+
+
+def _density_matrix(r: Array) -> Array:
+    """The 2^n x 2^n matrix sum_a r_a B_a of a coefficient vector."""
+    n = (r.size.bit_length() - 1) // 2
+    vec = _per_site(r, _TO_PAULI.conj().T, n).reshape((2,) * (2 * n))
+    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return vec.transpose(perm).reshape(2**n, 2**n)
 
 
 def purity_and_info(rho: Array) -> tuple[float, float]:
@@ -105,11 +180,17 @@ def purity_and_info(rho: Array) -> tuple[float, float]:
 
 @dataclass
 class DenseRun:
-    """Output of :func:`dense_simulate`: final state, energy, layer states."""
+    """Output of :func:`dense_simulate`: the final state's Pauli
+    coefficients, the energy, and the state after each layer."""
 
-    rho: Array
+    coeffs: Array
     energy: float | None
     states: list[Array] | None = None
+
+    @property
+    def rho(self) -> Array:
+        """The final state as a 2^n x 2^n density matrix."""
+        return _density_matrix(self.coeffs)
 
 
 def product_density_matrix(locals_: list[Array]) -> Array:
@@ -123,33 +204,42 @@ def dense_simulate(circuit: CircuitSpec, hamiltonian: MPO | Array | None = None,
                    keep_states: bool = False) -> DenseRun:
     """Exact density-matrix evolution of a noisy circuit (n <= 12).
 
-    Each layer applies its gates in order, then its noise channel on every
-    site.  The layer is first fused into one superoperator per two-site gate
-    (see :func:`_fused_layer`): single-site gates and the channels fold into
-    the two-site gate next to them, so an 8-site brick-wall layer of 15
-    gates and 8 channels costs 7 contractions of the 2^n x 2^n state.
+    The state is its real vector of 4^n coefficients r_a = Tr(B_a rho) over
+    the Pauli basis B_a = P_a / sqrt(2), site 0 slowest.  Each layer applies
+    its gates in order, then its noise channel on every site.  The layer is
+    first fused into one op per two-site gate (see :func:`_fused_layer`):
+    single-site gates and the channels fold into the two-site gate next to
+    them, so an 8-site brick-wall layer of 15 gates and 8 channels costs 7
+    real 16x16 transfer-matrix products, each written into a second buffer.
     Fusion stays inside a layer, so ``keep_states`` records the state after
-    each layer, for :func:`purity_and_info` and the like.  The energy is
-    Tr(H rho) against ``hamiltonian`` if given, evaluated as the
-    elementwise sum conj(H) . rho, which equals it for Hermitian H.
+    each layer, as a 2^n x 2^n matrix, for :func:`purity_and_info` and the
+    like.  The energy against ``hamiltonian``, if given, is the real dot
+    product of the coefficient vectors: an MPO target already holds its
+    coefficients, and a dense array is transformed (giving Re Tr(H^dag rho),
+    which is Tr(H rho) for Hermitian H).
     """
     n = circuit.n_sites
     if n > _DENSE_SITE_CAP:
         raise ValueError(f"dense simulation capped at n={_DENSE_SITE_CAP}, got {n}")
-    dim = 2**n
-    rt = product_density_matrix(circuit.initial_state).reshape((2,) * (2 * n))
+    r = np.ones(1)
+    for loc in circuit.initial_state:
+        site = _real(_TO_PAULI @ np.asarray(loc, dtype=complex).reshape(4),
+                     "initial state is not Hermitian")
+        r = np.multiply.outer(r, site).reshape(-1)
+    out = np.empty_like(r)
     states = [] if keep_states else None
     for layer in circuit.layers:
-        for sites, sup in _fused_layer(layer, n):
-            rt = _apply_superop(rt, sup, sites, n)
+        for sites, ptm in _fused_layer(layer, n):
+            _apply_ptm(r, out, ptm, sites, n)
+            r, out = out, r
         if keep_states:
-            states.append(rt.reshape(dim, dim).copy())
-    rho = rt.reshape(dim, dim)
+            states.append(_density_matrix(r))
     energy = None
     if hamiltonian is not None:
-        hmat = hamiltonian.to_dense() if isinstance(hamiltonian, MPO) else hamiltonian
-        energy = float(np.vdot(hmat, rho).real)
-    return DenseRun(rho, energy, states)
+        h = (_mpo_coeffs(hamiltonian) if isinstance(hamiltonian, MPO)
+             else _pauli_coeffs(hamiltonian, n))
+        energy = float(h @ r)
+    return DenseRun(r, energy, states)
 
 
 def min_energy_at_purity(energies: Array, purity_cap: float) -> float:

@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from noisebound import mpo, sweep
 from noisebound.circuits import (
     GateOp,
     Layer,
     CircuitSpec,
     brickwall_1d,
+    brickwall_2d_snake,
     clifford_entangle_unentangle,
     single_qubit_circuit,
 )
+from noisebound.config import FAMILIES, ExperimentConfig
 from noisebound.exact import (
     SignedPauli,
     dense_simulate,
@@ -30,7 +33,8 @@ from noisebound.exact import (
     stabilizer_energy,
     stabilizer_heisenberg,
 )
-from noisebound.noise import depolarizing, replacement
+from noisebound.noise import (NoiseModel, biased_tau, depolarizing, replacement,
+                              unital_pauli)
 
 _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                  dtype=complex)
@@ -165,6 +169,62 @@ def test_dense_simulate_matches_naive_full_space_reference():
             assert np.abs(got - want).max() < 1e-12
         assert np.abs(run.rho - want_states[-1]).max() < 1e-12
         assert abs(run.energy - want_energy) < 1e-12
+
+
+def _oracle_circuits():
+    """brickwall_1d and brickwall_2d circuits (the latter with reversed and
+    non-adjacent pairs) under depolarizing, unital_pauli and replacement
+    noise, with their MPO targets."""
+    noises = [depolarizing(0.1), unital_pauli(0.02, 0.05, 0.03),
+              replacement(0.1, biased_tau(0.2))]
+    return ([brickwall_1d(5, 5, 0.3, 0.0, 3, noise=nm) for nm in noises]
+            + [brickwall_2d_snake(2, 3, 4, 0.3, 0.0, 4, noise=nm) for nm in noises])
+
+
+def test_dense_simulate_is_independent_of_the_mpo_transfer_matrices(monkeypatch):
+    """The oracle builds its own transfer matrices, so a fault in the MPO
+    path's cannot cancel out of the check: with them broken, every energy
+    is the same to the last bit.  (The builders themselves use the MPO
+    path for the targets, so the circuits are built first.)"""
+    cases = _oracle_circuits()
+    want = [dense_simulate(c, hamiltonian=t).energy for c, t in cases]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the dense oracle used the MPO transfer matrices")
+
+    monkeypatch.setattr(mpo, "_ptm", broken)
+    monkeypatch.setattr(mpo, "_ptm_factors", broken)
+    got = [dense_simulate(c, hamiltonian=t).energy for c, t in cases]
+    assert got == want
+
+
+@pytest.mark.parametrize("family", [f for f, fam in FAMILIES.items()
+                                    if "fermion_dual" not in fam.methods])
+def test_mpo_and_dense_targets_give_the_same_energy(family):
+    """The state's Pauli basis and the MPO's storage convention agree: for
+    each qubit family and noise model it builds, the energy against the MPO
+    target equals the energy against its dense matrix."""
+    fam = FAMILIES[family]
+    depth = {"odd": 5, "even": 4, "1": 1}[fam.depth]
+    for model in fam.noise_models:
+        cfg = ExperimentConfig(
+            family=family, n=1 if fam.depth == "1" else 6, depths=[depth],
+            methods=[], seed=7, output="", thetas=[0.4], ps=[0.1],
+            noise_model=model, eps=0.2, pauli_rates=[0.2, 0.3, 0.1],
+            lattice=[2, 3] if fam.lattice else None)
+        circ, target, _ = sweep.build_circuit(cfg, sweep.expand_grid(cfg)[0])
+        via_mpo = dense_simulate(circ, hamiltonian=target).energy
+        via_dense = dense_simulate(circ, hamiltonian=target.to_dense()).energy
+        assert abs(via_mpo - via_dense) < 1e-12, model
+
+
+def test_dense_simulate_rejects_a_map_that_breaks_hermiticity():
+    """A noise channel whose transfer matrix is not real is refused."""
+    choi = np.zeros((4, 4), dtype=complex)
+    choi[0, 3] = 1j   # not Hermitian, so not Hermiticity-preserving
+    circ = CircuitSpec(2, [Layer([], NoiseModel("general", choi=choi))])
+    with pytest.raises(ValueError, match="Hermiticity"):
+        dense_simulate(circ)
 
 
 def test_dense_rejects_large_n():

@@ -414,6 +414,28 @@ def test_validate_rejects_what_the_family_cannot_run(tmp_path, capsys, family, s
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family,size", [
+    ("brickwall_1d", "n: 1"), ("brickwall_2d", "lattice: [1, 1]"),
+    ("clifford", "n: 1"), ("fermion_1d", "n: 1"), ("fermion_2d", "lattice: [1, 1]"),
+])
+def test_validate_rejects_one_site_circuits_on_multi_site_families(
+        tmp_path, capsys, family, size):
+    """Only single_qubit builds a one-site circuit: every other family
+    needs two sites, and says so at the field that sizes it."""
+    fam = FAMILIES[family]
+    text = _FAMILY_YAML.format(
+        family=family, size=size, depth=2 if fam.depth == "even" else 1,
+        model="depolarizing", p=0.1, rates="", method=fam.methods[0], bond=1,
+        output="OUTPUT")
+    path, _ = write_config(tmp_path, text)
+    assert cli.main(["validate", path]) == 2
+    field = "circuit.lattice" if fam.lattice else "circuit.n"
+    assert f"config error: {field}:" in capsys.readouterr().err
+    path, _ = write_config(tmp_path, text.replace("n: 1", "n: 2").replace(
+        "[1, 1]", "[1, 2]"))
+    assert cli.main(["validate", path]) == 0
+
+
 @pytest.mark.parametrize("model,method,p", [
     ("unital_pauli", "trace_dual", 1.0),
     ("nonunital", "nonunital_dual", 0.0),
