@@ -182,10 +182,10 @@ def _oracle_circuits():
 
 
 def test_dense_simulate_is_independent_of_the_mpo_transfer_matrices(monkeypatch):
-    """The oracle builds its own transfer matrices, so a fault in the MPO
-    path's cannot cancel out of the check: with them broken, every energy
-    is the same to the last bit.  (The builders themselves use the MPO
-    path for the targets, so the circuits are built first.)"""
+    """The oracle builds its own transfer matrices, so a fault in those of
+    the MPO path cannot cancel out of the check: with them broken, every
+    energy is the same to the last bit.  (The builders use the MPO path
+    for the targets, so the circuits are built first.)"""
     cases = _oracle_circuits()
     want = [dense_simulate(c, hamiltonian=t).energy for c, t in cases]
 
