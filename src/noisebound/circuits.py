@@ -224,7 +224,8 @@ def _lattice_edges(lx: int, ly: int, index: dict[tuple[int, int], int] | None = 
 def _brick_layer(n: int, theta: float, rng: np.random.Generator,
                  noise: NoiseModel, entangler=xx_gate) -> Layer:
     groups = _lattice_edges(n, 1)
-    gates = [GateOp(entangler(theta), b) for b in groups["h_odd"] + groups["h_even"]]
+    u = entangler(theta)
+    gates = [GateOp(u, b) for b in groups["h_odd"] + groups["h_even"]]
     gates += [GateOp(haar_single_qubit(rng), (i,)) for i in range(n)]
     return Layer(gates, noise)
 
@@ -299,9 +300,10 @@ def brickwall_2d_snake(lx: int, ly: int, depth: int, theta: float, p: float,
         noise = depolarizing(p)
 
     half = []
+    u = entangler(theta)
     for t in range(depth // 2):
         edges = groups[order[t % 4]]
-        gates = [GateOp(entangler(theta), e) for e in edges]
+        gates = [GateOp(u, e) for e in edges]
         gates += [GateOp(haar_single_qubit(rng), (i,)) for i in range(n)]
         half.append(Layer(gates, noise))
     layers = half + [lay.inverse() for lay in reversed(half)]

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import yaml
 
 from . import circuits, fermion, info_dual
 from .mpo import _DENSE_SITE_CAP, _SPECTRUM_MODE_CAP
@@ -147,6 +146,8 @@ def check_oracle_size(family: str, n: int) -> None:
 
 
 def parse_config(text: str) -> ExperimentConfig:
+    import yaml
+
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -333,4 +334,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
+    import yaml
+
     return yaml.safe_dump(config_to_dict(cfg), sort_keys=True)

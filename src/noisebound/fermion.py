@@ -23,6 +23,10 @@ Every mirror-circuit family lives on an lx-by-ly grid of modes in row-major
 order, and a chain is the ly = 1 grid: the bond groups come from
 :func:`noisebound.circuits._lattice_edges`, and a circuit carries its mode
 coordinates, the geometry its locality radii are measured in.
+
+scipy is imported inside the functions that call it (``canonical_form``,
+``_orthogonal_from_generator`` and ``optimize_fermionic_dual``), so
+importing the package loads no part of scipy.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from ._blas import blas_threads
 from .circuits import _lattice_edges
@@ -130,6 +132,8 @@ def canonical_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     that mode x occupies columns (2x, 2x+1).  Zero modes are paired up with
     eps = 0.
     """
+    import scipy.linalg
+
     m = np.asarray(m, dtype=float)
     n2 = m.shape[0]
     scale = max(1.0, np.abs(m).max())
@@ -284,8 +288,9 @@ def energy_from_covariance(gamma: np.ndarray, op: QuadraticOp) -> float:
 def _orthogonal_from_generator(m: np.ndarray) -> np.ndarray:
     """R = exp(2 m), one expm per connected block of m's support (a layer of
     gates on disjoint bonds needs only 4x4 exponentials)."""
-    # imported here: csgraph adds import time and ~1 MB resident, which only
-    # code that builds a layer map should pay
+    # imported here, as is all of scipy in this package: it adds import time
+    # and resident memory, which only code that calls it should pay
+    import scipy.linalg
     import scipy.sparse.csgraph
 
     n_blocks, labels = scipy.sparse.csgraph.connected_components(
@@ -663,6 +668,8 @@ def optimize_fermionic_dual(circuit: FermionCircuit, target: QuadraticOp,
     Returns (s_list, lambda_list, DualValue); the reported bound never falls
     below the seed's bound by more than 1e-9 (the best iterate is kept).
     """
+    import scipy.optimize
+
     n = circuit.n_modes
     if init_s_list is None:
         s0 = default_fermion_initial_duals(circuit, target, radius)

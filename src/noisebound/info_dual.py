@@ -10,6 +10,10 @@ point multiplies bit-quantities by ln 2, so
     bound = max_lambda [ lambda * ln2 * S_bits + G(H, lambda) ]
 
 with G(H, lambda) = -lambda * ln Tr exp(-H / lambda).
+
+scipy is imported inside the functions that call it, so importing the
+package loads no part of scipy, and a qubit run without an entropy method
+never loads it.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-from scipy.special import expit, logsumexp
 
 from .mpo import _DENSE_SITE_CAP, _SPECTRUM_MODE_CAP, MPO
 from .report import BoundReport
@@ -56,6 +58,8 @@ def golden_section_max(f, lo: float, hi: float) -> tuple[float, float]:
     v_hi, s_hi = f(hi)
     if s_hi >= 0.0:
         return hi, v_hi
+    import scipy.optimize
+
     u = scipy.optimize.brentq(lambda u: f(math.exp(u))[1],
                               math.log(lo), math.log(hi), xtol=1e-14)
     x = math.exp(u)
@@ -95,6 +99,8 @@ class TwoLevelModes:
     def entropy(self, lam: float) -> float:
         """Gibbs entropy in nats: sum_x [log(1 + e^-x) + x e^-x / (1 + e^-x)]
         with x = gap / lambda."""
+        from scipy.special import expit
+
         x = self.gaps / lam
         return float(np.sum(np.log1p(np.exp(-x)) + x * expit(-x)))
 
@@ -128,6 +134,8 @@ def gibbs_free_energy_dense(h: np.ndarray, lam: float) -> float:
         raise ValueError(f"dense free energy capped at n={_DENSE_SITE_CAP} qubits")
     if np.abs(h - h.conj().T).max() > 1e-10 * max(1.0, np.abs(h).max()):
         raise ValueError("H must be Hermitian")
+    from scipy.special import logsumexp
+
     ev = np.linalg.eigvalsh(h)
     return float(-lam * logsumexp(-ev / lam))
 
@@ -164,6 +172,8 @@ def free_energy_term(spec, c_nats: float, lam: float | None = None,
     if isinstance(spec, TwoLevelModes):
         logz, entropy = spec.log_partition, spec.entropy
     else:
+        from scipy.special import logsumexp
+
         ev = np.asarray(spec, dtype=float)
         gaps = ev - ev.min()
 

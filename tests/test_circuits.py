@@ -8,6 +8,7 @@ spectra.
 import numpy as np
 import pytest
 
+from noisebound import mpo
 from noisebound.circuits import (
     CircuitSpec,
     GateOp,
@@ -188,6 +189,40 @@ def test_brickwall_1d_odd_n_runs():
     circ, target = brickwall_1d(5, 3, 0.2, 0.0, 4)
     run = dense_simulate(circ, hamiltonian=target)
     assert abs(run.energy) < 1e-9
+
+
+def _kron_embed(g: GateOp, n: int) -> np.ndarray:
+    """The 2^n x 2^n matrix of a gate on one site or on a bond (i, i+1),
+    site 0 the leftmost factor."""
+    i = g.sites[0]
+    assert g.sites == tuple(range(i, i + len(g.sites)))
+    return np.kron(np.kron(np.eye(2**i), g.matrix),
+                   np.eye(2 ** (n - i - len(g.sites))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("theta", [0.1, 0.7])
+def test_brickwall_1d_target_matches_a_kron_reference(n, theta, monkeypatch):
+    """The target is U_h (sum_i -Z_i / 2n + 1/2) U_h^dag with U_h the first
+    layer's gates in order, rebuilt here from kron products alone.  With
+    the MPO transfer matrices broken while the reference is built, a fault
+    in them cannot enter both sides of the comparison."""
+    circ, target = brickwall_1d(n, 3, theta, 0.1, 5)
+    got = target.to_dense()
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the reference used the MPO transfer matrices")
+
+    monkeypatch.setattr(mpo, "_ptm", broken)
+    monkeypatch.setattr(mpo, "_ptm_factors", broken)
+    h0 = 0.5 * np.eye(2**n, dtype=complex)
+    for i in range(n):
+        h0 -= _kron_embed(GateOp(_Z, (i,)), n) / (2.0 * n)
+    u_h = np.eye(2**n, dtype=complex)
+    for g in circ.layers[0].gates:
+        u_h = _kron_embed(g, n) @ u_h
+    want = u_h @ h0 @ u_h.conj().T
+    assert np.abs(got - want).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
