@@ -1,5 +1,6 @@
-"""Batch front-end: validate configs, run sweeps, cross-check small
-instances against the dense oracle, and emit plot-ready data files.
+"""Batch front-end: validate configs, run sweeps, cross-check every row
+against the exact energy its grid point computed, and emit plot-ready
+data files.
 
 Exit codes: 0 success, 2 validation failure, 3 partial failure (some grid
 points failed, or an oracle cross-check found a violation).
@@ -10,13 +11,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter, defaultdict
+from collections import defaultdict
 
-import numpy as np
-
-from . import exact, fermion, sweep
+from . import sweep
 from .config import ConfigError, check_oracle_size, load_config
-from .mpo import MPO
 from .report import read_csv
 
 PLOT_TEMPLATES = ("bound_vs_depth", "bound_vs_p_theta_heatmap",
@@ -81,69 +79,53 @@ def cmd_run(path: str, workers: int | None, force_oracle: bool) -> int:
     cfg = load_config(path)
     if force_oracle:
         check_oracle_size(cfg.family, cfg.n)
+        cfg.oracle = True
     reports, failures = sweep.run_experiment(cfg, workers=workers)
     print(f"wrote {len(reports)} rows to {cfg.output}")
     for line in failures:
         print(f"FAILED {line}", file=sys.stderr)
     code = 3 if failures else 0
-    if cfg.oracle or force_oracle:
-        problems = oracle_check(cfg, reports)
-        for line in problems:
-            print(f"ORACLE {line}", file=sys.stderr)
-        if problems:
-            code = 3
-        else:
-            print("oracle cross-check passed")
+    if cfg.oracle:
+        code = max(code, _oracle_verdict(reports))
     return code
 
 
 def cmd_oracle_check(path: str) -> int:
+    """Run every grid point with the oracle on and check its rows; no CSV."""
     cfg = load_config(path)
-    problems = oracle_check(cfg)
+    check_oracle_size(cfg.family, cfg.n)
+    cfg.oracle = True
+    return _oracle_verdict(
+        [rep for pt in sweep.expand_grid(cfg) for rep in sweep.run_point(cfg, pt)])
+
+
+def _oracle_verdict(reports) -> int:
+    """Print the oracle check of ``reports``; exit code 3 on a violation."""
+    problems = oracle_check(reports)
+    for line in problems:
+        print(f"ORACLE {line}", file=sys.stderr)
     if problems:
-        for line in problems:
-            print(f"ORACLE {line}", file=sys.stderr)
         return 3
     print("oracle cross-check passed")
     return 0
 
 
-def oracle_check(cfg, reports=None) -> list[str]:
-    """Verify each claimed lower bound against the exact output energy of
-    its grid point (dense for qubit circuits, covariance for Gaussian ones).
-    Returns a list of violation descriptions.
-
-    ``reports`` are the rows a run returned, matched to their grid point on
-    (depth, theta, p); a point without rows failed and is not re-run.  With
-    no reports, or for a (depth, theta, p) that the grid repeats, the
-    point's bounds are computed here.  A qubit family above the dense
-    oracle's size is refused before any point runs."""
-    check_oracle_size(cfg.family, cfg.n)
-    points = sweep.expand_grid(cfg)
-    repeats = Counter((pt.depth, pt.theta, pt.p) for pt in points)
-    rows = defaultdict(list)
-    for rep in reports or ():
-        rows[(rep.depth, rep.theta, rep.p)].append(rep)
+def oracle_check(reports) -> list[str]:
+    """Verify each claimed lower bound against the exact output energy its
+    grid point stored in it (a sweep run with ``cfg.oracle`` on).  Returns a
+    list of violation descriptions; a row without an exact energy raises."""
     problems: list[str] = []
-    for pt in points:
-        key = (pt.depth, pt.theta, pt.p)
-        if reports is None or repeats[key] > 1:
-            point_rows = sweep.run_point(cfg, pt)
-        elif rows[key]:
-            point_rows = rows[key]
-        else:
-            continue
-        circuit, target, _ = sweep.build_circuit(cfg, pt)
-        if isinstance(target, MPO):
-            energy = exact.dense_simulate(circuit, hamiltonian=target).energy
-        else:
-            _, energy = fermion.simulate_covariance(circuit, target)
-        for rep in point_rows:
-            if rep.bound > energy + _ORACLE_TOL:
-                problems.append(
-                    f"point d={pt.depth} theta={pt.theta} p={pt.p} "
-                    f"method={rep.method} D_or_r={rep.resource}: bound "
-                    f"{rep.bound:.12g} exceeds exact energy {energy:.12g}")
+    for rep in reports:
+        energy = rep.exact_energy
+        if energy is None:
+            raise ValueError(
+                f"row d={rep.depth} theta={rep.theta} p={rep.p} "
+                f"method={rep.method} carries no exact energy: the oracle was off")
+        if rep.bound > energy + _ORACLE_TOL:
+            problems.append(
+                f"point d={rep.depth} theta={rep.theta} p={rep.p} "
+                f"method={rep.method} D_or_r={rep.resource}: bound "
+                f"{rep.bound:.12g} exceeds exact energy {energy:.12g}")
     return problems
 
 

@@ -5,7 +5,9 @@ The CSV column order is frozen so downstream tooling can rely on it:
     method,N,d,D_or_r,p,theta,seed,bound,boundary_term,penalty_sum,wall_time_s
 
 Every bound decomposes as ``bound = boundary_term - penalty_sum``; the
-record keeps both pieces so the split is auditable.
+record keeps both pieces so the split is auditable.  A sweep run with the
+oracle on also stores the point's exact output energy in each record; the
+CSV never carries it.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ class BoundReport:
     boundary_term: float = 0.0
     penalty_sum: float = 0.0
     wall_time_s: float = 0.0
+    exact_energy: float | None = None   # set by a sweep with the oracle on
 
     def __post_init__(self):
         if self.method not in METHODS:

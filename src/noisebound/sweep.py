@@ -2,18 +2,24 @@
 
 A grid point is one (depth, theta, p) combination; each point yields one
 CSV row per requested method (and per ansatz resource for methods that use
-one).  Points run concurrently with a bounded worker count taken from the
-``NOISEBOUND_WORKERS`` environment variable (each worker lowers its BLAS
-thread counts to its share of the cores), results are flushed to the
+one).  With the oracle on, each point also computes its exact output
+energy from the circuit and target its bounds used (dense for qubit
+families, covariance for fermion ones) and stores it in every row it
+returns.  Points run concurrently with a bounded worker count taken from
+the ``NOISEBOUND_WORKERS`` environment variable (each worker lowers its
+BLAS thread counts to its share of the cores), results are flushed to the
 output file as they complete, and the final file is rewritten in a sorted,
-deterministic order.  Per-point RNG streams are keyed by (master seed,
-point index) so results are independent of execution order.  Circuits and
-target spectra come from the family table ``config.FAMILIES``.
+deterministic order.  A point whose pool worker dies is run again alone in
+a fresh one-worker pool, so only a point that kills its own worker fails.
+Per-point RNG streams are keyed by (master seed, point index) so results
+are independent of execution order.  Circuits and target spectra come from
+the family table ``config.FAMILIES``.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import itertools
 import os
 import time
@@ -24,6 +30,7 @@ import numpy as np
 from . import exact, fermion, info_dual, trace_dual
 from ._blas import limit_threads
 from .config import _MPO_METHODS, FAMILIES, ExperimentConfig
+from .mpo import MPO
 from .noise import (BoundSchedule, NoiseModel, biased_tau, depolarizing,
                     info_schedule, max_replacement_fraction, purity_schedule,
                     relative_entropy_schedule, relent_product_state,
@@ -104,7 +111,8 @@ def _mpo_schedule(cfg: ExperimentConfig, method: str, circuit) -> BoundSchedule:
 
 
 def run_point(cfg: ExperimentConfig, pt: GridPoint) -> list[BoundReport]:
-    """Compute every requested method at one grid point.
+    """Compute every requested method at one grid point, and with the
+    oracle on, store the point's exact output energy in each row.
 
     MPO methods at the same bond dimension share a single Heisenberg TEBD
     sweep (building the dual dominates the cost, evaluating it is cheap).
@@ -161,6 +169,13 @@ def run_point(cfg: ExperimentConfig, pt: GridPoint) -> list[BoundReport]:
         rows.append(_report(cfg, pt, "purity_only", 0, val, val, 0.0,
                             time.perf_counter() - t0))
 
+    if cfg.oracle:
+        if isinstance(target, MPO):
+            energy = exact.dense_simulate(circuit, hamiltonian=target).energy
+        else:
+            _, energy = fermion.simulate_covariance(circuit, target)
+        for rep in rows:
+            rep.exact_energy = energy
     return rows
 
 
@@ -185,7 +200,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None
     Rows are appended as each grid point completes (so an interrupted run
     keeps everything but the in-flight point) and the file is rewritten in
     sorted order at the end.  Failed points are skipped, recorded in the
-    returned failure list, and mirrored to ``<output>.failures.txt``.
+    returned failure list, and mirrored to ``<output>.failures.txt``, which
+    a run without failures removes.
     """
     pts = expand_grid(cfg)
     nworkers = worker_count(workers)
@@ -199,16 +215,28 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None
             for pt in pts:
                 _collect(cfg, pt, run_point_safe(cfg, pt), reports, failures, fh)
         else:
+            orphans = []
             with _pool(nworkers) as pool:
                 futures = {pool.submit(run_point_safe, cfg, pt): pt for pt in pts}
                 for fut in concurrent.futures.as_completed(futures):
-                    _collect(cfg, futures[fut], fut.result(), reports, failures, fh)
+                    try:
+                        result = fut.result()
+                    except concurrent.futures.BrokenExecutor:
+                        orphans.append(futures[fut])
+                        continue
+                    _collect(cfg, futures[fut], result, reports, failures, fh)
+            for pt in orphans:
+                _collect(cfg, pt, _run_alone(cfg, pt), reports, failures, fh)
 
     reports.sort(key=_sort_key)
     write_csv(cfg.output, reports, timings=cfg.timings)
+    failures_path = cfg.output + ".failures.txt"
     if failures:
-        with open(cfg.output + ".failures.txt", "w", encoding="utf-8") as fh:
+        with open(failures_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(failures) + "\n")
+    else:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(failures_path)
     return reports, failures
 
 
@@ -220,11 +248,26 @@ def _pool(nworkers: int) -> concurrent.futures.ProcessPoolExecutor:
         nworkers, initializer=limit_threads, initargs=(share, share))
 
 
+def _run_alone(cfg: ExperimentConfig, pt: GridPoint):
+    """Run a point whose pool broke again in a one-worker pool of its own, so
+    that only a point that kills its own worker fails.  BrokenExecutor is the
+    base of BrokenProcessPool that loads without importing multiprocessing."""
+    with _pool(1) as pool:
+        try:
+            return pool.submit(run_point_safe, cfg, pt).result()
+        except concurrent.futures.BrokenExecutor:
+            return _failure(pt, "worker died")
+
+
+def _failure(pt: GridPoint, reason) -> str:
+    return f"point {pt.index} (d={pt.depth}, theta={pt.theta}, p={pt.p}): {reason}"
+
+
 def run_point_safe(cfg: ExperimentConfig, pt: GridPoint):
     try:
         return run_point(cfg, pt)
     except Exception as exc:  # noqa: BLE001 - failed points must not kill the run
-        return f"point {pt.index} (d={pt.depth}, theta={pt.theta}, p={pt.p}): {exc}"
+        return _failure(pt, exc)
 
 
 def _collect(cfg, pt, result, reports, failures, fh):

@@ -1,6 +1,7 @@
 """The import policy: importing the package loads numpy and the package
 itself, and scipy and yaml load at the first call that needs them.  A qubit
-TEBD bound and ``noisebound validate`` never load scipy.
+TEBD bound and ``noisebound validate`` never load scipy, and multiprocessing
+loads only when a sweep starts a worker pool.
 
 The checks run in a fresh interpreter, because this one already has scipy
 loaded by other tests."""
@@ -18,8 +19,8 @@ _CHILD = """\
 import contextlib, io, json, sys
 
 def loaded():
-    return sorted(m for m in sys.modules
-                  if m == "yaml" or m.startswith(("yaml.", "scipy.")))
+    return sorted(m for m in sys.modules if m in ("yaml", "multiprocessing")
+                  or m.startswith(("yaml.", "scipy.", "multiprocessing.")))
 
 import noisebound, noisebound.cli, noisebound.config, noisebound.sweep
 after = {"import": loaded()}

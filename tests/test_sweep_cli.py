@@ -7,6 +7,8 @@ serialization boundary.
 """
 
 import copy
+import dataclasses
+import hashlib
 import os
 
 import numpy as np
@@ -227,7 +229,8 @@ def _leaves(node, path=()):
 
 
 with open(DEMO_YAML, encoding="utf-8") as _fh:
-    _DEMO = yaml.safe_load(_fh)
+    _DEMO_TEXT = _fh.read()
+_DEMO = yaml.safe_load(_DEMO_TEXT)
 _DEMO_LEAVES = _leaves(_DEMO)
 _LEAF_VALUES = st.one_of(
     st.integers(-10, 100), st.integers(10**308, 10**400),
@@ -357,7 +360,8 @@ _NOISE_KIND = {"depolarizing": "depolarizing", "unital_pauli": "unital_pauli",
 def test_every_config_that_validates_runs(tmp_path, p):
     """Every family x noise model x single method at the smallest sizes: a
     config either fails at the model, the rate or the method, or it runs on
-    the circuit it describes, with every bound below the exact energy."""
+    the circuit it describes, with every bound below the exact energy that
+    the point computes with the oracle on."""
     problems, admitted = [], {family: 0 for family in FAMILIES}
     for family, fam in FAMILIES.items():
         size = ("lattice: [2, 2]" if fam.lattice
@@ -379,12 +383,13 @@ def test_every_config_that_validates_runs(tmp_path, p):
                         problems.append(f"{where}: {err}")
                     continue
                 admitted[family] += 1
+                cfg.oracle = True
                 pt = sweep.expand_grid(cfg)[0]
                 rows = sweep.run_point_safe(cfg, pt)
                 if isinstance(rows, str):
                     problems.append(f"{where}: {rows}")
                     continue
-                problems += [f"{where}: {line}" for line in cli.oracle_check(cfg, rows)]
+                problems += [f"{where}: {line}" for line in cli.oracle_check(rows)]
                 circuit, _, _ = sweep.build_circuit(cfg, pt)
                 if p > 0 and "fermion_dual" not in fam.methods:
                     kinds = {layer.noise.kind for layer in circuit.layers}
@@ -539,6 +544,54 @@ def test_failed_points_recorded(tmp_path, monkeypatch):
     assert {r.depth for r in reports} == {1, 3}
 
 
+def test_clean_rerun_removes_stale_failures_file(tmp_path, monkeypatch):
+    path, out = write_config(tmp_path, BASE_YAML)
+    cfg = load_config(path)
+    real = sweep.run_point
+
+    def flaky(cfg_, pt):
+        if pt.index == 2:
+            raise RuntimeError("synthetic point failure")
+        return real(cfg_, pt)
+
+    monkeypatch.setattr(sweep, "run_point", flaky)
+    assert sweep.run_experiment(cfg)[1]
+    assert os.path.exists(out + ".failures.txt")
+    monkeypatch.setattr(sweep, "run_point", real)
+    assert sweep.run_experiment(cfg)[1] == []
+    assert not os.path.exists(out + ".failures.txt")
+
+
+def write_demo_config(tmp_path):
+    """demos/chain_sweep.yaml with its output redirected into tmp_path."""
+    text = _DEMO_TEXT.replace("output: chain_sweep_results.csv", "output: OUTPUT")
+    assert "OUTPUT" in text
+    return write_config(tmp_path, text)
+
+
+def test_crashed_worker_fails_only_its_point(tmp_path, monkeypatch):
+    """A pool worker that dies on point 1 of the demo grid breaks the pool:
+    every point without a result runs again alone, so only point 1, which
+    kills its own worker again, fails, and the other 7 points' rows equal
+    those of a crash-free run."""
+    path, out = write_demo_config(tmp_path)
+    cfg = load_config(path)
+    sweep.run_experiment(cfg, workers=1)
+    clean = [r for r in read_csv(out) if (r.depth, r.p) != (1, 0.15)]
+    real = sweep.run_point
+
+    def crashing(cfg_, pt):
+        if pt.index == 1:
+            os._exit(3)
+        return real(cfg_, pt)
+
+    monkeypatch.setattr(sweep, "run_point", crashing)
+    _, failures = sweep.run_experiment(cfg, workers=2)
+    assert failures == ["point 1 (d=1, theta=0.1, p=0.15): worker died"]
+    assert open(out + ".failures.txt").read() == failures[0] + "\n"
+    assert read_csv(out) == clean
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 
@@ -691,10 +744,9 @@ def test_run_oracle_flags_a_planted_bound(tmp_path, monkeypatch, capsys):
     def planted(cfg_, pt):
         rows = real(cfg_, pt)
         if pt.index == 2:
-            rows[0] = BoundReport(
-                method=rows[0].method, n_sites=rows[0].n_sites, depth=pt.depth,
-                resource=rows[0].resource, p=pt.p, theta=pt.theta,
-                seed=rows[0].seed, bound=1.5, boundary_term=1.5)
+            # the planted row keeps the exact energy its point computed
+            rows[0] = dataclasses.replace(rows[0], bound=1.5, boundary_term=1.5,
+                                          penalty_sum=0.0)
         return rows
 
     monkeypatch.setattr(sweep, "run_point", planted)
@@ -702,6 +754,72 @@ def test_run_oracle_flags_a_planted_bound(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("ORACLE") == 1
     assert "bound 1.5 exceeds exact energy" in err
+
+
+@pytest.mark.parametrize("how", ["config", "flag", "verb"])
+def test_oracle_builds_each_point_once(tmp_path, monkeypatch, capsys, how):
+    """`oracle: true`, `run --oracle` and `oracle-check` build each grid
+    point's circuit once, for its bounds and its exact energy alike."""
+    monkeypatch.delenv(sweep.WORKERS_ENV, raising=False)
+    path, _ = write_config(tmp_path, BASE_YAML + ("oracle: true\n" if how == "config" else ""))
+    real = sweep.build_circuit
+    calls = []
+
+    def counted(cfg_, pt):
+        calls.append(pt.index)
+        return real(cfg_, pt)
+
+    monkeypatch.setattr(sweep, "build_circuit", counted)
+    argv = {"config": ["run", path], "flag": ["run", path, "--oracle"],
+            "verb": ["oracle-check", path]}[how]
+    assert cli.main(argv) == 0
+    assert "oracle cross-check passed" in capsys.readouterr().out
+    assert sorted(calls) == [0, 1, 2, 3]
+
+
+def test_run_oracle_bounds_a_repeated_point_once(tmp_path, monkeypatch, capsys):
+    """A grid that repeats a (depth, theta, p) is checked with one run_point
+    call per grid point."""
+    monkeypatch.delenv(sweep.WORKERS_ENV, raising=False)
+    path, _ = write_config(tmp_path, BASE_YAML.replace("depth: [1, 3]", "depth: [3, 3]"))
+    real = sweep.run_point
+    calls = []
+
+    def counted(cfg_, pt):
+        calls.append(pt.index)
+        return real(cfg_, pt)
+
+    monkeypatch.setattr(sweep, "run_point", counted)
+    assert cli.main(["run", path, "--oracle"]) == 0
+    assert "oracle cross-check passed" in capsys.readouterr().out
+    assert sorted(calls) == [0, 1, 2, 3]
+
+
+def test_oracle_check_refuses_rows_without_an_exact_energy(tmp_path):
+    """A row from a run with the oracle off, or read back from a CSV, has no
+    exact energy: checking it raises rather than passing vacuously."""
+    path, out = write_config(tmp_path, BASE_YAML)
+    cfg = load_config(path)
+    rows = sweep.run_point(cfg, sweep.expand_grid(cfg)[0])
+    assert rows and all(r.exact_energy is None for r in rows)
+    with pytest.raises(ValueError, match="no exact energy"):
+        cli.oracle_check(rows)
+    sweep.run_experiment(cfg)
+    with pytest.raises(ValueError, match="no exact energy"):
+        cli.oracle_check(read_csv(out))
+
+
+# sha256 of the CSV that `noisebound run demos/chain_sweep.yaml` writes; a
+# change that moves a bound updates it and says why in CHANGES.md.
+DEMO_CSV_SHA256 = "67cb09434f3bb9c65f2b176d7ccae6056f1ed08158e6a126751f2ada8b1d9c4c"
+
+
+def test_demo_csv_is_pinned(tmp_path, capsys):
+    path, out = write_demo_config(tmp_path)
+    assert cli.main(["run", path]) == 0
+    assert "oracle cross-check passed" in capsys.readouterr().out
+    with open(out, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == DEMO_CSV_SHA256
 
 
 def test_dense_oracle_size_checked_before_any_point(tmp_path, monkeypatch, capsys):
