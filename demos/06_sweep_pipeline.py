@@ -8,9 +8,11 @@ command-line front end:
     noisebound validate demos/chain_sweep.yaml
     noisebound run      demos/chain_sweep.yaml
     noisebound plot     chain_sweep_results.csv --template bound_vs_depth
-    noisebound oracle-check demos/chain_sweep.yaml
+    noisebound oracle-check demos/chain_sweep.yaml   # = run --oracle
 
-This script calls the same entry points in-process.  The CSV is written
+``oracle-check`` is ``run`` with the oracle forced on: it writes the same
+CSV and checks every row against its grid point's exact energy.  This
+script calls the same entry points in-process.  The CSV is written
 with repr-exact floats and a fixed row order, so re-running a config
 reproduces the file byte for byte; the plot step emits plain
 whitespace-delimited .dat files plus a caption.txt describing each

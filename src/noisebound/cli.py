@@ -1,6 +1,8 @@
 """Batch front-end: validate configs, run sweeps, cross-check every row
 against the exact energy its grid point computed, and emit plot-ready
-data files.
+data files.  ``oracle-check`` is an alias of ``run`` that turns the
+oracle on, so it writes the same CSV as ``run --oracle``; how a grid runs
+is decided in ``sweep.run_experiment`` alone.
 
 Exit codes: 0 success, 2 validation failure, 3 partial failure (some grid
 points failed, or an oracle cross-check found a violation).
@@ -29,10 +31,11 @@ def main(argv=None) -> int:
         description="Certified lower bounds on noisy-circuit output energies.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p_run = sub.add_parser("run", help="run an experiment config")
+    p_run = sub.add_parser("run", aliases=["oracle-check"],
+                           help="run an experiment config (oracle-check: --oracle)")
     p_run.add_argument("config")
     p_run.add_argument("--workers", type=int, default=None,
-                       help=f"worker count (default ${sweep.WORKERS_ENV} or 1)")
+                       help=f"worker count >= 1 (default ${sweep.WORKERS_ENV} or 1)")
     p_run.add_argument("--oracle", action="store_true",
                        help="cross-check every row against the exact oracle "
                             "(small instances only)")
@@ -43,10 +46,6 @@ def main(argv=None) -> int:
     p_plot.add_argument("--out", default=None,
                         help="output directory (default <csv>_plot)")
 
-    p_oc = sub.add_parser("oracle-check",
-                          help="run a config with dense cross-validation")
-    p_oc.add_argument("config")
-
     p_val = sub.add_parser("validate", help="validate a config file")
     p_val.add_argument("config")
 
@@ -54,10 +53,9 @@ def main(argv=None) -> int:
     try:
         if args.verb == "validate":
             return cmd_validate(args.config)
-        if args.verb == "run":
-            return cmd_run(args.config, args.workers, args.oracle)
-        if args.verb == "oracle-check":
-            return cmd_oracle_check(args.config)
+        if args.verb in ("run", "oracle-check"):
+            return cmd_run(args.config, args.workers,
+                           args.oracle or args.verb == "oracle-check")
         if args.verb == "plot":
             return cmd_plot(args.csv, args.template, args.out)
     except ConfigError as exc:
@@ -76,6 +74,8 @@ def cmd_validate(path: str) -> int:
 
 
 def cmd_run(path: str, workers: int | None, force_oracle: bool) -> int:
+    if workers is not None and workers < 1:
+        raise ConfigError("--workers", f"must be at least 1, got {workers}")
     cfg = load_config(path)
     if force_oracle:
         check_oracle_size(cfg.family, cfg.n)
@@ -88,15 +88,6 @@ def cmd_run(path: str, workers: int | None, force_oracle: bool) -> int:
     if cfg.oracle:
         code = max(code, _oracle_verdict(reports))
     return code
-
-
-def cmd_oracle_check(path: str) -> int:
-    """Run every grid point with the oracle on and check its rows; no CSV."""
-    cfg = load_config(path)
-    check_oracle_size(cfg.family, cfg.n)
-    cfg.oracle = True
-    return _oracle_verdict(
-        [rep for pt in sweep.expand_grid(cfg) for rep in sweep.run_point(cfg, pt)])
 
 
 def _oracle_verdict(reports) -> int:

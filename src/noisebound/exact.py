@@ -298,9 +298,6 @@ class SignedPauli:
     letters: str
     damping: float = 1.0
 
-    def weight(self) -> int:
-        return sum(1 for ch in self.letters if ch != "I")
-
 
 _PAULI_LETTERS = ("I", "X", "Y", "Z")
 _conj_cache: dict[bytes, dict[str, tuple[int, str]]] = {}

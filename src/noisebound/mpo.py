@@ -246,7 +246,13 @@ def mpo_hs_inner(a: MPO, b: MPO) -> float:
 
 
 def frobenius_norm(a: MPO) -> float:
-    return float(np.sqrt(max(mpo_hs_inner(a, a), 0.0)))
+    """||A||_F from the canonical form: ``compress`` under a bond cap that
+    never binds leaves sites 0 .. n-2 left-isometric, so the norm is that of
+    the last site together with the weight the SVAL_FLOOR rule discarded.
+    Unlike sqrt(Tr(A A)), it does not cancel to 0 for a small A written as
+    the difference of two large MPOs."""
+    c, err = compress(a, max(a.bond_dims, default=1))
+    return float(np.hypot(np.linalg.norm(c.tensors[-1]), err))
 
 
 def expectation_product_state(a: MPO, states: list[Array]) -> float:

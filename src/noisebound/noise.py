@@ -212,12 +212,13 @@ def info_schedule(n: int, depth: int, p: float) -> BoundSchedule:
 
 
 def max_replacement_fraction(model_or_choi, tau: Array) -> float:
-    """Largest q with Phi_N - q I (x) tau >= 0, by eigenvalue bisection to
-    within 1e-10.
+    """Largest q <= 1 with Phi_N - q I (x) tau >= 0.
 
     This is the replacement fraction of the channel with respect to the
-    fixed point tau.  Raises if the constraint is already infeasible at
-    q = 1e-6 (channel has no replacement component, e.g. the identity).
+    fixed point tau.  With S = (I (x) tau)^(-1/2), Phi - q I (x) tau =
+    S^-1 (S Phi S - q) S^-1, so the largest such q is lambda_min(S Phi S).
+    Raises if that is below 1e-6 (channel has no replacement component,
+    e.g. the identity).
     """
     if isinstance(model_or_choi, NoiseModel):
         choi = choi_matrix(model_or_choi)
@@ -225,28 +226,17 @@ def max_replacement_fraction(model_or_choi, tau: Array) -> float:
         choi = np.asarray(model_or_choi, dtype=complex)
         _validate_choi(choi)
     tau = check_density_matrix(tau)
-    if np.linalg.eigvalsh(tau).min() < 1e-12:
+    w, u = np.linalg.eigh(tau)
+    if w.min() < 1e-12:
         raise ValueError("tau must be full rank")
-    itau = np.kron(np.eye(2), tau)
-
-    def feasible(q: float) -> bool:
-        return np.linalg.eigvalsh(choi - q * itau).min() >= -1e-12
-
+    s = np.kron(np.eye(2), (u * w ** -0.5) @ u.conj().T)
+    q = float(np.linalg.eigvalsh(s @ choi @ s).min())
     lo = 1e-6
-    if not feasible(lo):
+    if q < lo:
         raise ValueError(
             "no replacement component: Phi - q I(x)tau has a negative "
             f"eigenvalue already at q = {lo:g}")
-    hi = 1.0
-    if feasible(hi):
-        return 1.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return min(q, 1.0)
 
 
 def dinf_term(v: Array, tau: Array) -> float:

@@ -5,12 +5,14 @@ CSV row per requested method (and per ansatz resource for methods that use
 one).  With the oracle on, each point also computes its exact output
 energy from the circuit and target its bounds used (dense for qubit
 families, covariance for fermion ones) and stores it in every row it
-returns.  Points run concurrently with a bounded worker count taken from
+returns.  Points run in-process with one worker, else in a process pool of
+min(workers, grid points) workers, the count taken from ``--workers`` or
 the ``NOISEBOUND_WORKERS`` environment variable (each worker lowers its
-BLAS thread counts to its share of the cores), results are flushed to the
-output file as they complete, and the final file is rewritten in a sorted,
-deterministic order.  A point whose pool worker dies is run again alone in
-a fresh one-worker pool, so only a point that kills its own worker fails.
+BLAS thread counts to its share of the cores).  Rows are streamed to the
+output file as points complete and rewritten in a sorted, deterministic
+order at the end, both through ``csv.writer``.  A point whose pool worker
+dies is run again alone in a fresh one-worker pool, so only a point that
+kills its own worker fails.
 Per-point RNG streams are keyed by (master seed, point index) so results
 are independent of execution order.  Circuits and target spectra come from
 the family table ``config.FAMILIES``.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import csv
 import itertools
 import os
 import time
@@ -198,35 +201,24 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None
     """Run the full grid, streaming partial results to ``cfg.output``.
 
     Rows are appended as each grid point completes (so an interrupted run
-    keeps everything but the in-flight point) and the file is rewritten in
+    keeps everything but the in-flight points) and the file is rewritten in
     sorted order at the end.  Failed points are skipped, recorded in the
     returned failure list, and mirrored to ``<output>.failures.txt``, which
     a run without failures removes.
     """
-    pts = expand_grid(cfg)
-    nworkers = worker_count(workers)
     reports: list[BoundReport] = []
     failures: list[str] = []
-
-    with open(cfg.output, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+    with open(cfg.output, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(CSV_COLUMNS)
         fh.flush()
-        if nworkers == 1:
-            for pt in pts:
-                _collect(cfg, pt, run_point_safe(cfg, pt), reports, failures, fh)
-        else:
-            orphans = []
-            with _pool(nworkers) as pool:
-                futures = {pool.submit(run_point_safe, cfg, pt): pt for pt in pts}
-                for fut in concurrent.futures.as_completed(futures):
-                    try:
-                        result = fut.result()
-                    except concurrent.futures.BrokenExecutor:
-                        orphans.append(futures[fut])
-                        continue
-                    _collect(cfg, futures[fut], result, reports, failures, fh)
-            for pt in orphans:
-                _collect(cfg, pt, _run_alone(cfg, pt), reports, failures, fh)
+        for result in _results(cfg, expand_grid(cfg), worker_count(workers)):
+            if isinstance(result, str):
+                failures.append(result)
+                continue
+            reports.extend(result)
+            out.writerows(rep.csv_row(timings=cfg.timings) for rep in result)
+            fh.flush()
 
     reports.sort(key=_sort_key)
     write_csv(cfg.output, reports, timings=cfg.timings)
@@ -238,6 +230,27 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None
         with contextlib.suppress(FileNotFoundError):
             os.remove(failures_path)
     return reports, failures
+
+
+def _results(cfg: ExperimentConfig, pts: list[GridPoint], nworkers: int):
+    """Yield each point's rows, or its failure message, as the point
+    completes: in this process for one worker, else from a pool of at most
+    one worker per point, running each point whose pool broke again alone."""
+    nworkers = min(nworkers, len(pts))
+    if nworkers <= 1:
+        for pt in pts:
+            yield run_point_safe(cfg, pt)
+        return
+    orphans = []
+    with _pool(nworkers) as pool:
+        futures = {pool.submit(run_point_safe, cfg, pt): pt for pt in pts}
+        for fut in concurrent.futures.as_completed(futures):
+            try:
+                yield fut.result()
+            except concurrent.futures.BrokenExecutor:
+                orphans.append(futures[fut])
+    for pt in orphans:
+        yield _run_alone(cfg, pt)
 
 
 def _pool(nworkers: int) -> concurrent.futures.ProcessPoolExecutor:
@@ -269,12 +282,3 @@ def run_point_safe(cfg: ExperimentConfig, pt: GridPoint):
     except Exception as exc:  # noqa: BLE001 - failed points must not kill the run
         return _failure(pt, exc)
 
-
-def _collect(cfg, pt, result, reports, failures, fh):
-    if isinstance(result, str):
-        failures.append(result)
-        return
-    reports.extend(result)
-    for rep in result:
-        fh.write(",".join(rep.csv_row(timings=cfg.timings)) + "\n")
-    fh.flush()

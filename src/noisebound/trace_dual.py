@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import blas_threads
-from .circuits import CircuitSpec, Layer
+from .circuits import CircuitSpec, Layer, circuit_rng
 from .mpo import (MPO, _site_coeffs, apply_depolarizing_adjoint,
                   apply_gate_adjoint, apply_gate_adjoint_longrange,
                   apply_site_superop_adjoint, compress,
@@ -270,7 +270,7 @@ def refine_dual(circuit: CircuitSpec, dual: TebdDual, target: MPO,
     evaluation; the stored defect norms are recomputed explicitly since the
     TEBD error bookkeeping no longer applies to a perturbed sequence.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    rng = circuit_rng(seed)
     n, d = circuit.n_sites, circuit.depth
 
     def evaluate(sigmas: list[MPO]) -> float:

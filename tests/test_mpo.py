@@ -145,6 +145,22 @@ def test_trace_inner_norm_vs_dense():
     assert abs(frobenius_norm(a) - np.linalg.norm(ad)) < 1e-10
 
 
+@pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9, 1e-10])
+def test_small_difference_norm_does_not_cancel(eps):
+    """||sigma - b|| for b = compress(sigma + eps delta), which re-gauges b:
+    the norm of a defect this small must read eps, not the 0 that
+    sqrt(Tr(A A)) cancels to."""
+    rng = np.random.default_rng(11)
+    sigma, _ = compress(random_mpo(12, 4, rng), 64)
+    sigma = mpo_scale(sigma, 1.0 / frobenius_norm(sigma))
+    delta = random_mpo(12, 2, rng)
+    delta = mpo_scale(delta, 1.0 / frobenius_norm(delta))
+    b, err = compress(mpo_add(sigma, mpo_scale(delta, eps)), 64)
+    assert err == 0.0
+    got = frobenius_norm(mpo_add(sigma, mpo_scale(b, -1.0)))
+    assert abs(got - eps) <= 0.01 * eps
+
+
 def test_conj_transpose_and_symmetrize():
     """A^dag = A, so (A + A^dag)/2 = A, for what random_mpo and the gate
     adjoints return: no symmetrization step is needed."""

@@ -6,6 +6,7 @@ regardless of worker count, with exact float round trips through every
 serialization boundary.
 """
 
+import concurrent.futures
 import copy
 import dataclasses
 import hashlib
@@ -592,6 +593,51 @@ def test_crashed_worker_fails_only_its_point(tmp_path, monkeypatch):
     assert read_csv(out) == clean
 
 
+def test_streamed_rows_use_the_final_serializer(tmp_path, monkeypatch):
+    """Without the sorted rewrite, the file a run streams is what
+    ``report.write_csv`` makes of its rows in completion order: one
+    serializer for both, down to the line ends."""
+    path, out = write_config(tmp_path, BASE_YAML)
+    cfg = load_config(path)
+    real = sweep.run_point
+    completed = []
+
+    def recorded(cfg_, pt):
+        rows = real(cfg_, pt)
+        completed.extend(rows)
+        return rows
+
+    monkeypatch.setattr(sweep, "run_point", recorded)
+    monkeypatch.setattr(sweep, "write_csv", lambda *args, **kwargs: None)
+    reports, _ = sweep.run_experiment(cfg, workers=1)
+    assert sorted(completed, key=sweep._sort_key) == reports
+    want = str(tmp_path / "want.csv")
+    write_csv(want, completed, timings=cfg.timings)
+    assert open(out, "rb").read() == open(want, "rb").read()
+
+
+def test_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch):
+    """A pool gets min(workers, grid points) workers, and one worker runs
+    the grid in-process.  The recording stand-in for ProcessPoolExecutor
+    runs the points on one thread and starts no process."""
+    path, out = write_config(tmp_path, BASE_YAML)
+    cfg = load_config(path)
+    sweep.run_experiment(cfg, workers=1)
+    serial = open(out, "rb").read()
+    sizes = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            sizes.append(max_workers)
+            super().__init__(1)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    for workers in (5000, 3, 1):
+        assert sweep.run_experiment(cfg, workers=workers)[1] == []
+        assert open(out, "rb").read() == serial
+    assert sizes == [4, 3]
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 
@@ -616,8 +662,8 @@ def test_cli_run_and_oracle_check(tmp_path, capsys):
     path, out = write_config(tmp_path, BASE_YAML)
     assert cli.main(["run", path]) == 0
     assert os.path.exists(out)
-    # oracle-check recomputes every point and verifies the bounds against
-    # the dense output energy: must pass on sound duals
+    # oracle-check reruns every point and verifies the bounds against the
+    # dense output energy: must pass on sound duals
     capsys.readouterr()
     assert cli.main(["oracle-check", path]) == 0
     assert "passed" in capsys.readouterr().out
@@ -713,6 +759,62 @@ def test_cli_run_oracle_flag(tmp_path, capsys):
     path, _ = write_config(tmp_path, BASE_YAML)
     assert cli.main(["run", path, "--oracle"]) == 0
     assert "oracle cross-check passed" in capsys.readouterr().out
+
+
+def test_oracle_check_is_run_oracle(tmp_path, capsys):
+    """``oracle-check`` and ``run --oracle`` write the same CSV, print the
+    same lines and return the same code."""
+    path, out = write_config(tmp_path, BASE_YAML)
+    seen = []
+    for argv in (["run", path, "--oracle"], ["oracle-check", path]):
+        code = cli.main(argv)
+        seen.append((code, capsys.readouterr(), open(out, "rb").read()))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == 0
+    assert "oracle cross-check passed" in seen[0][1].out
+
+
+def test_oracle_check_reports_a_raising_point(tmp_path, monkeypatch, capsys):
+    """A point that raises under ``oracle-check`` is one FAILED line and
+    exit 3; the other points' rows are still checked against the oracle."""
+    monkeypatch.delenv(sweep.WORKERS_ENV, raising=False)
+    path, out = write_config(tmp_path, BASE_YAML)
+    real = sweep.run_point
+
+    def flaky(cfg_, pt):
+        if pt.index == 1:
+            raise RuntimeError("dead point")
+        return real(cfg_, pt)
+
+    checked = []
+    real_check = cli.oracle_check
+
+    def spy(reports):
+        checked.extend((r.depth, r.p) for r in reports)
+        return real_check(reports)
+
+    monkeypatch.setattr(sweep, "run_point", flaky)
+    monkeypatch.setattr(cli, "oracle_check", spy)
+    assert cli.main(["oracle-check", path]) == 3
+    captured = capsys.readouterr()
+    failed = [l for l in captured.err.splitlines() if l.startswith("FAILED")]
+    assert failed == ["FAILED point 1 (d=1, theta=0.1, p=0.1): dead point"]
+    assert "oracle cross-check passed" in captured.out
+    assert set(checked) == {(1, 0.0), (3, 0.0), (3, 0.1)}
+    assert {(r.depth, r.p) for r in read_csv(out)} == set(checked)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_workers_below_one_is_exit_2(tmp_path, monkeypatch, capsys, workers):
+    """``--workers`` below 1 is a config error naming the flag, raised
+    before any grid point runs."""
+    path, _ = write_config(tmp_path, BASE_YAML)
+    calls = []
+    monkeypatch.setattr(sweep, "run_point", lambda cfg_, pt: calls.append(pt) or [])
+    assert cli.main(["run", path, "--workers", workers]) == 2
+    assert cli.main(["oracle-check", path, "--workers", workers]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.count("config error: --workers:") == 2
 
 
 def test_run_oracle_checks_written_rows_without_rerun(tmp_path, monkeypatch, capsys):
