@@ -15,7 +15,7 @@ layers act on.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,8 +53,17 @@ class GateOp:
 
 @dataclass
 class Layer:
+    """Gates applied in list order, then ``noise`` on every site.
+
+    ``_adjoint_plan`` is a cache of :func:`noisebound.trace_dual.apply_layer_adjoint`,
+    which stores the compiled adjoint there together with the gates, noise
+    and site count it was compiled from, and compiles again when they differ.
+    """
+
     gates: list[GateOp]
     noise: NoiseModel
+    _adjoint_plan: tuple | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def inverse(self) -> "Layer":
         return Layer([g.dagger() for g in reversed(self.gates)], self.noise)

@@ -117,12 +117,29 @@ def _apply_ptm(r: Array, out: Array, ptm: Array, sites: tuple[int, ...],
                n: int) -> None:
     """out <- ``ptm`` applied to the coefficient vector r on ascending
     ``sites``: consecutive sites by one matmul on the (4^i, 4^k, rest)
-    view, others by a contraction over their axes."""
+    view, others by a contraction over their axes.
+
+    The layout follows the trailing block (the op's sites and those after
+    them), since a stack of 4^i products on a small block costs 3-20x more
+    per flop.  A block of at most 16 coefficients is one 2-D product with
+    kron(ptm, I_rest)^T, made contiguous; one of 64 multiplies the
+    (4^i, rest, 4^k) view by ptm^T.  At n = 8, 1 thread, a 4x4 op on site
+    6 took 160 us as a stack and 84 us as one product, and a 16x16 op on
+    sites (5, 6) 142 us as a stack and 80 us on the transposed view."""
     i, k = sites[0], len(sites)
     if sites[-1] - i == k - 1:
         left, mid, right = 4**i, 4**k, 4 ** (n - i - k)
-        if right == 1:
-            np.matmul(r.reshape(left, mid), ptm.T, out=out.reshape(left, mid))
+        if mid * right <= 16:
+            w = ptm if right == 1 else (
+                ptm[:, None, :, None] * np.eye(right)[None, :, None, :]
+            ).reshape(mid * right, mid * right)
+            w = np.ascontiguousarray(w.T)
+            np.matmul(r.reshape(left, mid * right), w,
+                      out=out.reshape(left, mid * right))
+        elif mid * right <= 64:
+            np.matmul(r.reshape(left, mid, right).transpose(0, 2, 1),
+                      np.ascontiguousarray(ptm.T),
+                      out=out.reshape(left, mid, right).transpose(0, 2, 1))
         elif left == 1:
             np.matmul(ptm, r.reshape(mid, right), out=out.reshape(mid, right))
         else:

@@ -43,6 +43,7 @@ Array = np.ndarray
 SVAL_FLOOR = 1e-14
 
 _EYE2 = np.eye(2, dtype=complex)
+_EYE4 = np.eye(4)
 
 PAULI = {
     "I": _EYE2,
@@ -272,11 +273,21 @@ def expectation_product_state(a: MPO, states: list[Array]) -> float:
             raise ValueError(f"site {k}: state not Hermitian")
         if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -1e-8:
             raise ValueError(f"site {k}: state not positive semidefinite")
-    v = np.ones((1, 1))
-    for t, rho in zip(a.tensors, states):
-        r = np.einsum("aij,ji->a", _BASIS, rho).real
-        v = v @ np.tensordot(t, r, axes=(1, 0))
-    return float(v[0, 0])
+    return _product_trace(a, [_state_coeffs(rho) for rho in states])
+
+
+def _state_coeffs(rho: Array) -> Array:
+    """The real vector r_a = Tr(B_a rho) of a 2x2 Hermitian matrix."""
+    return np.einsum("aij,ji->a", _BASIS, rho).real
+
+
+def _product_trace(a: MPO, coeffs: list[Array]) -> float:
+    """Tr(A * rho_1 x ... x rho_n) from the vectors ``coeffs[k]`` =
+    Tr(B_a rho_k), which the caller has already checked."""
+    v = np.ones(1)
+    for t, r in zip(a.tensors, coeffs):
+        v = r @ (v @ t.reshape(t.shape[0], -1)).reshape(4, -1)
+    return float(v[0])
 
 
 def _floor_rank(s: Array) -> int:
@@ -320,8 +331,9 @@ def compress(a: MPO, max_bond: int) -> tuple[MPO, float]:
     # rts[k] = R_k^T, shape (Dl_k, r_k); the last site's right bond is 1
     rts: list[Array] = [None] * n + [np.ones((1, 1))]
     for k in range(n - 1, 0, -1):
-        x = np.tensordot(a.tensors[k], rts[k + 1], axes=(-1, 0))
-        rts[k] = np.linalg.qr(x.reshape(x.shape[0], -1).T, mode="r").T
+        t = a.tensors[k]
+        x = (t.reshape(-1, t.shape[2]) @ rts[k + 1]).reshape(t.shape[0], -1)
+        rts[k] = np.linalg.qr(x.T, mode="r").T
     sites = []
     err2 = 0.0
     c = a.tensors[0]
@@ -333,7 +345,8 @@ def compress(a: MPO, max_bond: int) -> tuple[MPO, float]:
         err2 += float(np.sum(s[keep:] ** 2))
         u = u[:, :keep]
         sites.append(u.reshape(dl, 4, keep))
-        c = np.tensordot(u.T @ c, a.tensors[k + 1], axes=(1, 0))
+        t = a.tensors[k + 1]
+        c = ((u.T @ c) @ t.reshape(t.shape[0], -1)).reshape(keep, 4, -1)
     sites.append(c)
     return MPO(sites), float(np.sqrt(err2))
 
@@ -413,23 +426,46 @@ def apply_gate_adjoint(a: MPO, gate: Array, sites: tuple[int, ...]) -> MPO:
     if j != i + 1:
         raise ValueError("two-site gates must act on adjacent sites (i, i+1)")
     key = _gate_key(gate, 4)
-    fa, fb = _ptm_factors(key)
-    ti, tj = a.tensors[i], a.tensors[j]
+    tensors[i], tensors[j] = _pair_update(a.tensors[i], a.tensors[j],
+                                          *_ptm_factors(key), _ptm(key))
+    return MPO(tensors)
+
+
+def _pair_update(ti: Array, tj: Array, fa: Array, fb: Array, ptm: Array,
+                 pi: Array | None = None, pj: Array | None = None
+                 ) -> tuple[Array, Array]:
+    """The site tensors of an adjacent pair after the two-site map
+    R (pi (x) pj), where R = ``ptm`` = sum_k fa[k] (x) fb[k] and the
+    one-site PTMs pi, pj (None for the identity) act first.
+
+    The one-site maps fold into the factors, (fa[k] pi) (x) (fb[k] pj), and
+    the pair is updated at bond D_mid * k when that is at most
+    4 min(D_left, D_right); otherwise R (pi (x) pj) is applied to the
+    contracted pair, which an SVD splits again (see
+    :func:`apply_gate_adjoint`).
+    """
     dl, dm, dr = ti.shape[0], ti.shape[-1], tj.shape[-1]
     k2 = fa.shape[0]
     if k2 * dm <= 4 * min(dl, dr):
-        # new bond index is (m, k), m the old bond
-        li = np.tensordot(ti, fa, axes=(1, 2))                     # (l, m, k, a)
-        tensors[i] = li.transpose(0, 3, 1, 2).reshape(dl, 4, dm * k2)
-        rj = np.tensordot(fb, tj, axes=(2, 1))                     # (k, a, m, r)
-        tensors[j] = rj.transpose(2, 0, 1, 3).reshape(dm * k2, 4, dr)
-        return MPO(tensors)
-    theta = _ptm(key) @ np.tensordot(ti, tj, axes=(-1, 0)).reshape(dl, 16, dr)
+        if pi is not None:
+            fa = fa @ pi
+        if pj is not None:
+            fb = fb @ pj
+        # new bond index is (m, k), m the old bond; both products contract
+        # the Pauli index b, moved to the front of the site tensor
+        li = fa.reshape(4 * k2, 4) @ ti.transpose(1, 0, 2).reshape(4, -1)
+        rj = fb.reshape(4 * k2, 4) @ tj.transpose(1, 0, 2).reshape(4, -1)
+        return (li.reshape(k2, 4, dl, dm).transpose(2, 1, 3, 0).reshape(dl, 4, dm * k2),
+                rj.reshape(k2, 4, dm, dr).transpose(2, 0, 1, 3).reshape(dm * k2, 4, dr))
+    if pi is not None or pj is not None:
+        pi = _EYE4 if pi is None else pi
+        pj = _EYE4 if pj is None else pj
+        ptm = ptm @ (pi[:, None, :, None] * pj[None, :, None, :]).reshape(16, 16)
+    theta = ptm @ np.tensordot(ti, tj, axes=(-1, 0)).reshape(dl, 16, dr)
     um, s, vh = np.linalg.svd(theta.reshape(dl * 4, 4 * dr), full_matrices=False)
     keep = _floor_rank(s)
-    tensors[i] = um[:, :keep].reshape(dl, 4, keep)
-    tensors[j] = (s[:keep, None] * vh[:keep, :]).reshape(keep, 4, dr)
-    return MPO(tensors)
+    return (um[:, :keep].reshape(dl, 4, keep),
+            (s[:keep, None] * vh[:keep, :]).reshape(keep, 4, dr))
 
 
 def apply_gate_adjoint_longrange(a: MPO, gate: Array, sites: tuple[int, int]) -> MPO:
@@ -495,10 +531,18 @@ def apply_site_superop_adjoint(a: MPO, superop: Array, site: int) -> MPO:
         raise ValueError("superoperator must be 4x4")
     if not 0 <= site < a.n_sites:
         raise ValueError(f"site {site} out of range")
+    tensors = list(a.tensors)
+    tensors[site] = _superop_ptm(k) @ a.tensors[site]
+    return MPO(tensors)
+
+
+def _superop_ptm(superop: Array) -> Array:
+    """The real PTM R[a, b] = Tr(B_a N^dag(B_b)) of the channel whose
+    row-major superoperator is ``superop``; raises unless N^dag preserves
+    Hermiticity."""
     # Tr(B_a Y) = vec(B_a^T) . vec(Y)
-    r = _BASIS.transpose(0, 2, 1).reshape(4, 4) @ k.conj().T @ _BASIS.reshape(4, 4).T
+    r = (_BASIS.transpose(0, 2, 1).reshape(4, 4) @ np.asarray(superop).conj().T
+         @ _BASIS.reshape(4, 4).T)
     if np.abs(r.imag).max() > 1e-10 * max(1.0, np.abs(r).max()):
         raise ValueError("superoperator adjoint does not preserve Hermiticity")
-    tensors = list(a.tensors)
-    tensors[site] = r.real @ a.tensors[site]
-    return MPO(tensors)
+    return r.real

@@ -216,7 +216,8 @@ def max_replacement_fraction(model_or_choi, tau: Array) -> float:
 
     This is the replacement fraction of the channel with respect to the
     fixed point tau.  With S = (I (x) tau)^(-1/2), Phi - q I (x) tau =
-    S^-1 (S Phi S - q) S^-1, so the largest such q is lambda_min(S Phi S).
+    S^-1 (S Phi S - q) S^-1, so the largest such q is lambda_min(S Phi S),
+    returned less an allowance for the rounding of ``eigvalsh``.
     Raises if that is below 1e-6 (channel has no replacement component,
     e.g. the identity).
     """
@@ -230,7 +231,11 @@ def max_replacement_fraction(model_or_choi, tau: Array) -> float:
     if w.min() < 1e-12:
         raise ValueError("tau must be full rank")
     s = np.kron(np.eye(2), (u * w ** -0.5) @ u.conj().T)
-    q = float(np.linalg.eigvalsh(s @ choi @ s).min())
+    ev = np.linalg.eigvalsh(s @ choi @ s)
+    # eigvalsh is backward stable: each computed eigenvalue is within a
+    # small multiple of dim * eps * ||S Phi S|| of the exact one, so this
+    # allowance keeps the returned q at or below the exact fraction
+    q = float(ev[0] - 16 * np.finfo(float).eps * np.abs(ev).max())
     lo = 1e-6
     if q < lo:
         raise ValueError(

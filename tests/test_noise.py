@@ -210,6 +210,16 @@ def test_replacement_fraction_recovery(q0, eps):
     assert abs(q - q0) < 1e-7
 
 
+@pytest.mark.parametrize("q0", [0.05, 0.3, 0.9])
+@pytest.mark.parametrize("eps", [-0.3, 0.0, 0.2])
+def test_replacement_fraction_never_exceeds_exact(q0, eps):
+    """The returned q is a sound replacement fraction: the rounding of the
+    eigenvalue solver never lifts it above the exact q0."""
+    tau = biased_tau(eps)
+    q = max_replacement_fraction(replacement(q0, tau), tau)
+    assert q0 - 1e-12 <= q <= q0
+
+
 def test_replacement_fraction_of_depolarizing():
     """Full depolarizing is replacement with tau = I/2 at the same rate."""
     q = max_replacement_fraction(depolarizing(0.2), biased_tau(0.0))

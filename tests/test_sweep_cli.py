@@ -913,7 +913,7 @@ def test_oracle_check_refuses_rows_without_an_exact_energy(tmp_path):
 
 # sha256 of the CSV that `noisebound run demos/chain_sweep.yaml` writes; a
 # change that moves a bound updates it and says why in CHANGES.md.
-DEMO_CSV_SHA256 = "67cb09434f3bb9c65f2b176d7ccae6056f1ed08158e6a126751f2ada8b1d9c4c"
+DEMO_CSV_SHA256 = "76a91d4f74862d3efca1eb271e78cd64b8e662b46a4f40abc43a80792be2c772"
 
 
 def test_demo_csv_is_pinned(tmp_path, capsys):

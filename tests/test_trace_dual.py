@@ -9,11 +9,17 @@ sigma_t = E^dag_{t+1}(sigma_{t+1}).
 import numpy as np
 import pytest
 
-from noisebound.circuits import brickwall_1d, zz_gate
+from noisebound.circuits import (GateOp, Layer, brickwall_1d, brickwall_2d_snake,
+                                 clifford_entangle_unentangle, haar_single_qubit,
+                                 zz_gate)
 from noisebound.exact import dense_simulate
-from noisebound.mpo import MPO, random_mpo
+from noisebound.mpo import MPO, expectation_product_state, random_mpo
 from noisebound.noise import (
+    BoundSchedule,
+    NoiseModel,
     biased_tau,
+    depolarizing,
+    general_channel,
     max_replacement_fraction,
     purity_schedule,
     relative_entropy_schedule,
@@ -66,31 +72,116 @@ def test_last_dual_is_minus_target():
     assert np.abs(got + target.to_dense()).max() < 1e-12
 
 
-def test_layer_adjoint_matches_dense():
-    """E^dag applied in MPO form equals the dense adjoint channel."""
-    n = 3
-    circ, target = brickwall_1d(n, 3, 0.4, 0.13, 2)
-    rng = np.random.default_rng(3)
-    a = random_mpo(n, 3, rng)
-    layer = circ.layers[1]
-    got = apply_layer_adjoint(a, layer).to_dense()
+def _embed(gate, sites, n):
+    """A k-site unitary on arbitrary (possibly reversed, non-adjacent)
+    sites of n qubits, as a 2^n x 2^n matrix."""
+    k = len(sites)
+    eye = np.eye(2**n, dtype=complex).reshape((2,) * (2 * n))
+    t = np.tensordot(gate.reshape((2,) * (2 * k)), eye,
+                     axes=(list(range(k, 2 * k)), list(sites)))
+    return np.moveaxis(t, list(range(k)), list(sites)).reshape(2**n, 2**n)
 
-    want = a.to_dense()
+
+def _dense_layer_adjoint(a, layer, n):
+    """E^dag(A) densely: the noise adjoint on every site, then U^dag . U."""
     k_adj = superop_matrix(layer.noise).conj().T
-    t = want.reshape((2,) * (2 * n))
+    t = a.reshape((2,) * (2 * n))
     for site in range(n):
         axes = (site, n + site)
         t = np.moveaxis(t, axes, (2 * n - 2, 2 * n - 1))
         flat = t.reshape(-1, 4) @ k_adj.T
         t = np.moveaxis(flat.reshape(t.shape), (2 * n - 2, 2 * n - 1), axes)
-    want = t.reshape(2**n, 2**n)
     u = np.eye(2**n, dtype=complex)
     for g in layer.gates:
-        left = np.eye(2 ** g.sites[0])
-        right = np.eye(2 ** (n - g.sites[-1] - 1))
-        u = np.kron(np.kron(left, g.matrix), right) @ u
-    want = u.conj().T @ want @ u
-    assert np.abs(got - want).max() < 1e-11
+        u = _embed(g.matrix, g.sites, n) @ u
+    return u.conj().T @ t.reshape(2**n, 2**n) @ u
+
+
+def _kraus_choi(kraus):
+    """Unnormalized Choi matrix sum_jk |j><k| (x) N(|j><k|), input first."""
+    phi = np.zeros((2, 2, 2, 2), dtype=complex)
+    for j in range(2):
+        for k in range(2):
+            e = np.zeros((2, 2), dtype=complex)
+            e[j, k] = 1.0
+            phi[j, :, k, :] = sum(m @ e @ m.conj().T for m in kraus)
+    return phi.reshape(4, 4)
+
+
+def _noise(kind, p):
+    """One channel of each kind at strength p, p = 0 and 1 included."""
+    rng = np.random.default_rng(17)
+    if kind == "depolarizing":
+        return depolarizing(p)
+    if kind == "unital_pauli":
+        # built directly: the constructor insists on 0 < px + py + pz < 1
+        return NoiseModel("unital_pauli", pauli_rates=(0.2 * p, 0.3 * p, 0.5 * p),
+                          u=haar_single_qubit(rng), v=haar_single_qubit(rng))
+    if kind == "replacement":
+        return replacement(p, biased_tau(0.2))
+    # amplitude damping (gamma = 0.6) with probability p, else a rotation
+    g = 0.6
+    damp = [np.array([[1, 0], [0, np.sqrt(1 - g)]]), np.array([[0, np.sqrt(g)], [0, 0]])]
+    u = haar_single_qubit(rng)
+    return general_channel(_kraus_choi([np.sqrt(p) * m for m in damp]
+                                       + [np.sqrt(1 - p) * u]))
+
+
+_LAYER_FAMILIES = {
+    "brickwall_1d": lambda nm: brickwall_1d(5, 3, 0.4, 0.0, 2, noise=nm),
+    # reversed and non-adjacent pairs: swap chains
+    "brickwall_2d_snake": lambda nm: brickwall_2d_snake(2, 3, 4, 0.4, 0.0, 2, noise=nm),
+    # rank-4 Clifford gates: the SVD re-split
+    "clifford_mirror": lambda nm: clifford_entangle_unentangle(4, 4, 0.0, 2, noise=nm),
+}
+
+
+@pytest.mark.parametrize("p", [0.0, 0.13, 1.0])
+@pytest.mark.parametrize("kind", ["depolarizing", "unital_pauli", "replacement",
+                                  "general"])
+@pytest.mark.parametrize("family", list(_LAYER_FAMILIES))
+def test_layer_adjoint_matches_dense(family, kind, p):
+    """E^dag applied in MPO form equals the dense adjoint channel, for every
+    layer of each family (forward and mirrored, so single-qubit gates sit
+    before and after the two-site gates) under each noise kind."""
+    circ, _ = _LAYER_FAMILIES[family](_noise(kind, p))
+    n = circ.n_sites
+    rng = np.random.default_rng(3)
+    for layer in circ.layers:
+        a = random_mpo(n, 3, rng)
+        got = apply_layer_adjoint(a, layer).to_dense()
+        want = _dense_layer_adjoint(a.to_dense(), layer, n)
+        assert np.abs(got - want).max() < 1e-11
+
+
+def test_layer_plan_follows_the_layer():
+    """The compiled adjoint cached on a layer is compiled again when a
+    gate or the noise of the layer changes in place."""
+    circ, _ = brickwall_1d(4, 3, 0.4, 0.1, 2)
+    layer = circ.layers[1]
+    rng = np.random.default_rng(4)
+    a = random_mpo(4, 2, rng)
+
+    def edits():
+        yield
+        layer.gates[-1].matrix[...] = haar_single_qubit(rng)
+        yield
+        layer.gates[0].matrix[...] = layer.gates[0].matrix.conj()
+        yield
+        layer.noise = replacement(0.3, biased_tau(0.1))
+        yield
+        layer.gates.pop(0)
+        yield
+
+    for _ in edits():
+        got = apply_layer_adjoint(a, layer).to_dense()
+        assert np.abs(got - _dense_layer_adjoint(a.to_dense(), layer, 4)).max() < 1e-11
+
+
+def test_layer_adjoint_rejects_a_site_outside_the_chain():
+    layer = Layer([GateOp(np.eye(4), (0, 4))], depolarizing(0.1))
+    with pytest.raises(ValueError):
+        apply_layer_adjoint(random_mpo(4, 2, np.random.default_rng(0)), layer)
 
 
 def test_boundary_term_vs_dense():
@@ -207,7 +298,6 @@ def test_nonunital_exact_chain_dominates_architecture_free():
     dual = heisenberg_tebd(circ, target, max_bond=4**4)
     val = dual_value(circ, dual, target, sched)
     taus = [tau] * circ.n_sites
-    from noisebound.mpo import expectation_product_state
     tau_energy = expectation_product_state(target, taus)
     hnorm = float(np.linalg.norm(np.linalg.eigvalsh(target.to_dense()), np.inf))
     free = architecture_free_bound_nonunital(tau_energy, hnorm, sched)
@@ -260,7 +350,53 @@ def test_defects_built_once(monkeypatch):
     calls.clear()
     dual = heisenberg_tebd(circ, target, max_bond=2)
     dual_value(circ, dual, target, purity_schedule(circ.n_sites, circ.depth, 0.1))
+    dual_value(circ, dual, target, sched)
     assert calls == []
+    # a distance schedule against another tau needs the explicit defects
+    other = BoundSchedule("frobenius_distance", sched.values, biased_tau(0.3))
+    dual_value(circ, dual, target, other)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("noisy", ["depolarizing", "replacement"])
+def test_tebd_records_match_explicit_terms(noisy):
+    """A TebdDual's boundary and Tr(H_t tau^xN) records equal boundary_term
+    and the explicit defects' expectations, and the bounds read from them
+    equal those of the same sigmas passed as a list, with the explicit
+    norms in place of the recorded ones."""
+    if noisy == "replacement":
+        circ, target, tau, sched = nonunital_setup(1)
+    else:
+        circ, target = brickwall_1d(5, 5, 0.3, 0.1, 3)
+        tau, sched = np.eye(2) / 2.0, purity_schedule(5, 5, 0.1)
+    dual = heisenberg_tebd(circ, target, max_bond=3)
+    assert abs(dual.boundary - boundary_term(circ, dual.sigmas[0])) < 1e-12
+    hs = defect_mpos(circ, dual.sigmas, target)
+    want = [expectation_product_state(h, [tau] * circ.n_sites) for h in hs]
+    assert np.array_equal(dual.tau, tau)
+    assert np.abs(dual.tau_traces - want).max() < 1e-12
+    recorded = dual_value(circ, dual, target, sched)
+    listed = dual_value(circ, dual.sigmas, target, sched)
+    norms = explicit_defect_norms(circ, dual.sigmas, target)
+    weight = np.sqrt(sched.values) if sched.kind == "purity" else sched.values
+    assert abs(recorded.boundary - listed.boundary) < 1e-12
+    assert np.abs(recorded.penalties - weight * (dual.step_defects - norms)
+                  - listed.penalties).max() < 1e-12
+
+
+@pytest.mark.parametrize("model", ["depolarizing", "nonunital"])
+def test_mpo_bounds_below_dense_energy_at_n8(model):
+    """Every trace_dual and nonunital_dual bound of an 8-site sweep point
+    lies at or below the dense oracle's energy, with no tolerance."""
+    from noisebound import sweep
+    from noisebound.config import ExperimentConfig
+    methods = ["trace_dual"] if model == "depolarizing" else ["nonunital_dual"]
+    cfg = ExperimentConfig(family="brickwall_1d", n=8, depths=[3, 7], methods=methods,
+                           seed=5, output="", thetas=[0.1], ps=[0.05, 0.2],
+                           noise_model=model, eps=0.2, bond_dims=[2, 4, 16], oracle=True)
+    rows = [r for pt in sweep.expand_grid(cfg) for r in sweep.run_point(cfg, pt)]
+    assert len(rows) == 12
+    assert all(r.bound <= r.exact_energy for r in rows)
 
 
 # ---------------------------------------------------------------------------
