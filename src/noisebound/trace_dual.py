@@ -39,7 +39,7 @@ from .mpo import (MPO, SWAP, _gate_key, _pair_update, _product_trace, _ptm,
 from .noise import BoundSchedule, check_density_matrix, purity_schedule, superop_matrix
 
 # Probe-only: bench/tracer.py wraps these three names here, which the layer
-# path no longer calls, and ``trace_dual.symmetrize``; (A + A^dag)/2 is A
+# path does not call, and ``trace_dual.symmetrize``; (A + A^dag)/2 is A
 # for every MPO.
 from .mpo import (apply_depolarizing_adjoint, apply_gate_adjoint,  # noqa: F401
                   apply_site_superop_adjoint)
