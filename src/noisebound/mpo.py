@@ -19,7 +19,10 @@ R[a, b] = Tr(B_a E^dag(B_b)).  A two-site gate's 16x16 PTM is split once
 into real factor pairs, dropping only factors below ``SVAL_FLOOR``, except
 where that would exceed the bond of an SVD split (chain ends, rank-4 gates
 such as SWAP), whose re-split drops singular values below the floor
-without reporting them.  Truncation to a bond cap happens only in
+without reporting them.  A two-site gate may act on any pair of distinct
+sites: :func:`adjoint_ops` plans every gate walk, reordering a reversed
+pair and bringing a distant one adjacent through a swap chain, and
+:func:`apply_ops` runs the plan.  Truncation to a bond cap happens only in
 :func:`compress`, which returns the exact discarded norm.  It truncates in
 the canonical gauge while computing only the triangular factor of each QR
 (the explicit isometries are never formed), so its cost is one R-only QR
@@ -397,37 +400,85 @@ def _ptm_factors(key: bytes) -> tuple[Array, Array]:
 
 
 def apply_gate_adjoint(a: MPO, gate: Array, sites: tuple[int, ...]) -> MPO:
-    """Heisenberg-picture update A -> U^dag A U, through the gate's PTM.
+    """Heisenberg-picture update A -> U^dag A U, through the gate's PTM,
+    for a gate on one site or on any two distinct sites, in either order
+    (see :func:`adjoint_ops`; each adjacent pair is updated by
+    :func:`_pair_update`)."""
+    return apply_ops(a, adjoint_ops([(gate, sites)], [None] * a.n_sites))
 
-    Single-site gates act in place; two-site gates must act on adjacent
-    sites (use :func:`apply_gate_adjoint_longrange` otherwise).
 
-    A two-site PTM is split into r^2 real factor pairs R = sum_k F_k (x) G_k
-    (r <= 4 the gate's operator-Schmidt rank), and the pair is updated as
-    sum_k (F_k L) (x) (G_k R), which is exact at bond D_mid * r^2 and drops
-    only PTM factors below the relative floor SVAL_FLOOR.  When that bond
-    would exceed the SVD bound min(4 D_left, 4 D_right) (chain ends, and
-    rank-4 gates such as SWAP), the updated pair is instead re-split by an
-    SVD, which discards singular values below the floor without reporting
-    them.
+def adjoint_ops(gates: list[tuple[Array, tuple[int, ...]]],
+                pending: list[Array | None]) -> list[tuple]:
+    """The ops of A -> U^dag A U for ``gates``, (matrix, sites) pairs in
+    application order, after the one-site PTM ``pending[s]`` (None for the
+    identity) acts on each site s; :func:`apply_ops` runs them.
+
+    ``(site, P)`` applies the 4x4 PTM P to one site, and
+    ``(i, fa, fb, R, P_i, P_j)`` applies R (P_i (x) P_j) to sites (i, i+1)
+    through :func:`_pair_update`.  Walking the gates in reverse, a one-site
+    gate multiplies its site's pending PTM and a gate on (i, i+1) takes the
+    pending PTMs of its sites along.  Any other pair is reordered to
+    (min, max) and brought adjacent by a swap chain, which first flushes
+    the pending PTMs of every site it crosses.  What is pending at the end
+    becomes one op per site.
     """
-    n = a.n_sites
-    for s in sites:
-        if not 0 <= s < n:
-            raise ValueError(f"site {s} out of range for n={n}")
+    n = len(pending)
+    pending = list(pending)
+    ops: list[tuple] = []
+
+    def flush(site: int) -> None:
+        if pending[site] is not None:
+            ops.append((site, pending[site]))
+            pending[site] = None
+
+    for gate, sites in reversed(gates):
+        if len(sites) not in (1, 2):
+            raise ValueError("gates act on one or two sites")
+        for s in sites:
+            if not 0 <= s < n:
+                raise ValueError(f"site {s} out of range for n={n}")
+        if len(sites) == 1:
+            (s,) = sites
+            r = _ptm(_gate_key(gate, 2))
+            pending[s] = r if pending[s] is None else r @ pending[s]
+            continue
+        i, j = sites
+        if i == j:
+            raise ValueError("two-site gate needs distinct sites")
+        key = _gate_key(gate, 4)
+        if i > j:
+            # reorder the gate to match (min, max) site order
+            key = (np.frombuffer(key, dtype=complex).reshape(2, 2, 2, 2)
+                   .transpose(1, 0, 3, 2).tobytes())
+            i, j = j, i
+        pair = (*_ptm_factors(key), _ptm(key))
+        if j == i + 1:
+            ops.append((i, *pair, pending[i], pending[j]))
+            pending[i] = pending[j] = None
+            continue
+        for s in range(i, j + 1):
+            flush(s)
+        swap_key = _gate_key(SWAP, 4)
+        swap = (*_ptm_factors(swap_key), _ptm(swap_key), None, None)
+        ops.extend((k, *swap) for k in range(j - 1, i, -1))
+        ops.append((i, *pair, None, None))
+        ops.extend((k, *swap) for k in range(i + 1, j))
+    for s in range(n):
+        flush(s)
+    return ops
+
+
+def apply_ops(a: MPO, ops: list[tuple]) -> MPO:
+    """Run the ops of :func:`adjoint_ops` on the site tensors of ``a``,
+    building one MPO at the end."""
     tensors = list(a.tensors)
-    if len(sites) == 1:
-        k = sites[0]
-        tensors[k] = _ptm(_gate_key(gate, 2)) @ a.tensors[k]
-        return MPO(tensors)
-    if len(sites) != 2:
-        raise ValueError("gates act on one or two sites")
-    i, j = sites
-    if j != i + 1:
-        raise ValueError("two-site gates must act on adjacent sites (i, i+1)")
-    key = _gate_key(gate, 4)
-    tensors[i], tensors[j] = _pair_update(a.tensors[i], a.tensors[j],
-                                          *_ptm_factors(key), _ptm(key))
+    for op in ops:
+        if len(op) == 2:
+            site, r = op
+            tensors[site] = r @ tensors[site]
+        else:
+            i = op[0]
+            tensors[i], tensors[i + 1] = _pair_update(tensors[i], tensors[i + 1], *op[1:])
     return MPO(tensors)
 
 
@@ -435,14 +486,15 @@ def _pair_update(ti: Array, tj: Array, fa: Array, fb: Array, ptm: Array,
                  pi: Array | None = None, pj: Array | None = None
                  ) -> tuple[Array, Array]:
     """The site tensors of an adjacent pair after the two-site map
-    R (pi (x) pj), where R = ``ptm`` = sum_k fa[k] (x) fb[k] and the
-    one-site PTMs pi, pj (None for the identity) act first.
+    R (pi (x) pj), where R = ``ptm`` = sum_k fa[k] (x) fb[k] (k = r^2 pairs,
+    r <= 4 the gate's operator-Schmidt rank) and the one-site PTMs pi, pj
+    (None for the identity) act first.
 
     The one-site maps fold into the factors, (fa[k] pi) (x) (fb[k] pj), and
     the pair is updated at bond D_mid * k when that is at most
-    4 min(D_left, D_right); otherwise R (pi (x) pj) is applied to the
-    contracted pair, which an SVD splits again (see
-    :func:`apply_gate_adjoint`).
+    4 min(D_left, D_right); otherwise (chain ends, and rank-4 gates such as
+    SWAP) R (pi (x) pj) is applied to the contracted pair, which an SVD
+    splits again, dropping singular values below SVAL_FLOOR unreported.
     """
     dl, dm, dr = ti.shape[0], ti.shape[-1], tj.shape[-1]
     k2 = fa.shape[0]
@@ -468,37 +520,9 @@ def _pair_update(ti: Array, tj: Array, fa: Array, fb: Array, ptm: Array,
             (s[:keep, None] * vh[:keep, :]).reshape(keep, 4, dr))
 
 
-def apply_gate_adjoint_longrange(a: MPO, gate: Array, sites: tuple[int, int]) -> MPO:
-    """U^dag A U for a two-site gate on arbitrary (i, j) via a swap chain.
-
-    The pair is brought adjacent by conjugating with SWAPs, the gate is
-    applied, and the chain is unwound.  Bond dimensions grow transiently;
-    callers compress afterwards.
-    """
-    i, j = sites
-    if i > j:
-        # reorder the gate to match (min, max) site order
-        g = np.asarray(gate, dtype=complex).reshape(2, 2, 2, 2)
-        gate = g.transpose(1, 0, 3, 2).reshape(4, 4)
-        i, j = j, i
-    if i == j:
-        raise ValueError("two-site gate needs distinct sites")
-    if j == i + 1:
-        return apply_gate_adjoint(a, gate, (i, j))
-    for k in range(j - 1, i, -1):
-        a = apply_gate_adjoint(a, SWAP, (k, k + 1))
-    a = apply_gate_adjoint(a, gate, (i, i + 1))
-    for k in range(i + 1, j):
-        a = apply_gate_adjoint(a, SWAP, (k, k + 1))
-    return a
-
-
 def apply_gate(a: MPO, gate: Array, sites: tuple[int, ...]) -> MPO:
     """Schroedinger-picture conjugation A -> U A U^dag."""
-    g = np.asarray(gate, dtype=complex)
-    if len(sites) == 2 and abs(sites[0] - sites[1]) != 1:
-        return apply_gate_adjoint_longrange(a, g.conj().T, (sites[0], sites[1]))
-    return apply_gate_adjoint(a, g.conj().T, tuple(sites))
+    return apply_gate_adjoint(a, np.asarray(gate, dtype=complex).conj().T, sites)
 
 
 def apply_depolarizing_adjoint(a: MPO, p: float, site: int) -> MPO:
@@ -513,9 +537,7 @@ def apply_depolarizing_adjoint(a: MPO, p: float, site: int) -> MPO:
         raise ValueError(f"p={p} outside [0, 1]")
     if not 0 <= site < a.n_sites:
         raise ValueError(f"site {site} out of range")
-    tensors = list(a.tensors)
-    tensors[site] = a.tensors[site] * np.array([1.0, 1.0 - p, 1.0 - p, 1.0 - p])[:, None]
-    return MPO(tensors)
+    return apply_ops(a, [(site, np.diag([1.0] + [1.0 - p] * 3))])
 
 
 def apply_site_superop_adjoint(a: MPO, superop: Array, site: int) -> MPO:
@@ -531,9 +553,7 @@ def apply_site_superop_adjoint(a: MPO, superop: Array, site: int) -> MPO:
         raise ValueError("superoperator must be 4x4")
     if not 0 <= site < a.n_sites:
         raise ValueError(f"site {site} out of range")
-    tensors = list(a.tensors)
-    tensors[site] = _superop_ptm(k) @ a.tensors[site]
-    return MPO(tensors)
+    return apply_ops(a, [(site, _superop_ptm(k))])
 
 
 def _superop_ptm(superop: Array) -> Array:

@@ -18,8 +18,10 @@ are exactly the defect norms, so no separate defect evaluation is needed.
 The same pass records the boundary term and each Tr(H_t tau^xN) against the
 noise's fixed point tau, so each layer adjoint is applied once per dual,
 and evaluating a TEBD dual under a purity or distance schedule builds no
-defect operator.  A layer adjoint is one pass over the sites: one-site
-noise and gate maps fold into the factor pairs of the two-site gates.
+defect operator.  A layer adjoint is one pass over the sites, planned by
+the gate walk of :mod:`noisebound.mpo` that every gate adjoint takes:
+one-site noise and gate maps fold into the factor pairs of the two-site
+gates.
 Every MPO is a real Pauli-basis operator, Hermitian by construction, so no
 step has to restore Hermiticity.
 """
@@ -32,10 +34,9 @@ import numpy as np
 
 from ._blas import blas_threads
 from .circuits import CircuitSpec, Layer, circuit_rng
-from .mpo import (MPO, SWAP, _gate_key, _pair_update, _product_trace, _ptm,
-                  _ptm_factors, _site_coeffs, _state_coeffs, _superop_ptm,
-                  compress, expectation_product_state, frobenius_norm,
-                  identity_mpo, mpo_add, mpo_scale)
+from .mpo import (MPO, _product_trace, _site_coeffs, _state_coeffs, _superop_ptm,
+                  adjoint_ops, apply_ops, compress, expectation_product_state,
+                  frobenius_norm, identity_mpo, mpo_add, mpo_scale)
 from .noise import BoundSchedule, check_density_matrix, purity_schedule, superop_matrix
 
 # Probe-only: bench/tracer.py wraps these three names here, which the layer
@@ -46,111 +47,38 @@ from .mpo import (apply_depolarizing_adjoint, apply_gate_adjoint,  # noqa: F401
 
 symmetrize = MPO.copy
 
-_SWAP_KEY = _gate_key(SWAP, 4)
-
 
 def apply_layer_adjoint(a: MPO, layer: Layer) -> MPO:
     """Exact Heisenberg update A -> E^dag(A) for one circuit layer.
 
     A layer acts as rho -> N^xN(U rho U^dag), so the adjoint applies the
     noise adjoint to every site first, then the gate adjoints in reverse
-    order, each as a real Pauli transfer matrix (PTM).  The layer is
-    compiled once (see :func:`_compile_layer`) into one op per two-site
-    gate, with the noise and single-qubit PTMs before it folded into its
-    factor pairs, plus one 4x4 product per site where one-site maps are
-    left over.  The ops update a list of site tensors, and one MPO is
-    built at the end.  A two-site gate of operator-Schmidt rank r
-    multiplies its bond by r^2 (r <= 2 for XX, ZZ, CZ, CNOT), capped at
-    4 min(D_left, D_right) by an SVD re-split; non-adjacent gates run
-    through swap chains.  Only PTM factors and, in the SVD re-split,
-    singular values below the relative floor ``SVAL_FLOOR`` are dropped,
-    uncharged.
+    order.  The layer is planned once (see :func:`_layer_plan`) by
+    :func:`noisebound.mpo.adjoint_ops`, the gate walk of every gate
+    adjoint, with each site's noise PTM pending, so the noise and
+    single-qubit PTMs fold into the factor pairs of the next two-site gate;
+    :func:`noisebound.mpo.apply_ops` runs the plan and builds one MPO.
+    Only PTM factors and, in the SVD re-split, singular values below the
+    relative floor ``SVAL_FLOOR`` are dropped, uncharged.
     """
-    tensors = list(a.tensors)
-    for op in _layer_plan(layer, a.n_sites):
-        if len(op) == 2:
-            site, r = op
-            tensors[site] = r @ tensors[site]
-        else:
-            i = op[0]
-            tensors[i], tensors[i + 1] = _pair_update(tensors[i], tensors[i + 1],
-                                                      *op[1:])
-    return MPO(tensors)
+    return apply_ops(a, _layer_plan(layer, a.n_sites))
 
 
 def _layer_plan(layer: Layer, n: int) -> list[tuple]:
-    """The compiled adjoint of ``layer`` on ``n`` sites, cached on the layer
-    and compiled again whenever its gates, noise or ``n`` differ from those
-    the cached plan was compiled from."""
+    """The ops of ``layer``'s adjoint on ``n`` sites, cached on the layer
+    and planned again whenever its gates, noise or ``n`` differ from those
+    the cached plan was made from."""
     nm = layer.noise
     key = (n, nm.kind, nm.p, nm.pauli_rates, nm.q,
            *(None if x is None else x.tobytes() for x in (nm.u, nm.v, nm.tau, nm.choi)),
            *((g.sites, g.matrix.tobytes()) for g in layer.gates))
     cached = layer._adjoint_plan
     if cached is None or cached[0] != key:
-        cached = layer._adjoint_plan = (key, _compile_layer(layer, n))
+        noise = (np.diag([1.0] + [1.0 - nm.p] * 3) if nm.kind == "depolarizing"
+                 else _superop_ptm(superop_matrix(nm)))
+        ops = adjoint_ops([(g.matrix, g.sites) for g in layer.gates], [noise] * n)
+        cached = layer._adjoint_plan = (key, ops)
     return cached[1]
-
-
-def _compile_layer(layer: Layer, n: int) -> list[tuple]:
-    """The ops of :func:`apply_layer_adjoint`, in order: ``(site, P)``
-    applies the 4x4 PTM P to one site, and ``(i, fa, fb, R, P_i, P_j)``
-    applies R (P_i (x) P_j) to sites (i, i+1), where R = sum_k fa[k] (x)
-    fb[k] and P_i, P_j are one-site PTMs (None for the identity), through
-    :func:`noisebound.mpo._pair_update`.
-
-    Each site starts with its noise PTM pending.  Walking the gates in
-    reverse, a single-qubit gate multiplies its site's pending PTM, and an
-    adjacent two-site gate takes the pending PTMs of its sites along as
-    P_i, P_j.  A non-adjacent gate first flushes the pending PTMs of every
-    site its swap chain crosses.  What is pending at the end becomes one
-    op per site.
-    """
-    for g in layer.gates:
-        for s in g.sites:
-            if not 0 <= s < n:
-                raise ValueError(f"site {s} out of range for n={n}")
-    nm = layer.noise
-    if nm.kind == "depolarizing":
-        noise = np.diag([1.0] + [1.0 - nm.p] * 3)
-    else:
-        noise = _superop_ptm(superop_matrix(nm))
-    pending: list[np.ndarray | None] = [noise] * n
-    ops: list[tuple] = []
-
-    def flush(site: int) -> None:
-        if pending[site] is not None:
-            ops.append((site, pending[site]))
-            pending[site] = None
-
-    for g in reversed(layer.gates):
-        if len(g.sites) == 1:
-            (s,) = g.sites
-            r = _ptm(_gate_key(g.matrix, 2))
-            pending[s] = r if pending[s] is None else r @ pending[s]
-            continue
-        i, j = g.sites
-        gate = g.matrix
-        if i > j:
-            # reorder the gate to match (min, max) site order
-            gate = gate.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-            i, j = j, i
-        key = _gate_key(gate, 4)
-        fa, fb = _ptm_factors(key)
-        r = _ptm(key)
-        if j == i + 1:
-            ops.append((i, fa, fb, r, pending[i], pending[j]))
-            pending[i] = pending[j] = None
-            continue
-        for s in range(i, j + 1):
-            flush(s)
-        swap = (*_ptm_factors(_SWAP_KEY), _ptm(_SWAP_KEY), None, None)
-        ops.extend((k, *swap) for k in range(j - 1, i, -1))
-        ops.append((i, fa, fb, r, None, None))
-        ops.extend((k, *swap) for k in range(i + 1, j))
-    for s in range(n):
-        flush(s)
-    return ops
 
 
 @dataclass

@@ -16,7 +16,6 @@ from noisebound.mpo import (
     apply_depolarizing_adjoint,
     apply_gate,
     apply_gate_adjoint,
-    apply_gate_adjoint_longrange,
     apply_site_superop_adjoint,
     compress,
     expectation_product_state,
@@ -328,28 +327,39 @@ def test_gate_schrodinger_two_site():
     assert np.abs(got - u @ a.to_dense() @ u.conj().T).max() < 1e-11
 
 
-def test_gate_adjoint_longrange_vs_dense():
-    """Distant two-site gates, realized by swap chains, match the dense
-    conjugation with the gate embedded on the actual (non-adjacent) pair."""
-    rng = np.random.default_rng(20)
-    n = 5
-    a = rand_herm_mpo(n, 3, 21)
-    q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
-    got = apply_gate_adjoint_longrange(a, q, (0, 3)).to_dense()
-    # dense: permute site 3 next to 0 is messy; build U on (0,3) directly
+def embed_pair(op: np.ndarray, n: int, sites: tuple[int, int]) -> np.ndarray:
+    """Dense embedding of a two-site operator on any pair of distinct sites
+    (i, j), its first tensor factor on site i, built bit by bit."""
+    i, j = sites
     u = np.zeros((2**n, 2**n), dtype=complex)
     for b in range(2**n):
         bits = [(b >> (n - 1 - k)) & 1 for k in range(n)]
-        for i in range(2):
-            for j in range(2):
-                amp = q[2 * i + j, 2 * bits[0] + bits[3]]
-                if amp == 0.0:
-                    continue
+        for x in range(2):
+            for y in range(2):
                 nb = bits.copy()
-                nb[0], nb[3] = i, j
+                nb[i], nb[j] = x, y
                 bb = sum(v << (n - 1 - k) for k, v in enumerate(nb))
-                u[bb, b] += amp
-    assert np.abs(got - u.conj().T @ a.to_dense() @ u).max() < 1e-10
+                u[bb, b] += op[2 * x + y, 2 * bits[i] + bits[j]]
+    return u
+
+
+def test_gate_adjoint_longrange_vs_dense():
+    """Distant two-site gates, in either site order, realized by swap
+    chains, match the dense conjugation with the gate embedded on the
+    actual (non-adjacent) pair; so does the Schroedinger-picture
+    conjugation on a reversed distant pair."""
+    rng = np.random.default_rng(20)
+    n = 5
+    a = rand_herm_mpo(n, 3, 21)
+    dense = a.to_dense()
+    q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    for sites in ((0, 3), (3, 0)):
+        got = apply_gate_adjoint(a, q, sites).to_dense()
+        u = embed_pair(q, n, sites)
+        assert np.abs(got - u.conj().T @ dense @ u).max() < 1e-10
+    got = apply_gate(a, q, (4, 1)).to_dense()
+    u = embed_pair(q, n, (4, 1))
+    assert np.abs(got - u @ dense @ u.conj().T).max() < 1e-10
 
 
 def _two_site_gates() -> dict[str, tuple[np.ndarray, int]]:
@@ -454,10 +464,17 @@ def test_site_superop_adjoint_matches_depolarizing():
     assert np.abs(via_superop - direct).max() < 1e-12
 
 
-def test_gate_adjoint_requires_adjacent_sites():
+def test_gate_adjoint_rejects_bad_sites():
+    """Any two distinct sites are accepted, but a repeated site, three
+    sites or a site off the chain raise, and a gate's shape is checked
+    before a reversed pair is reordered."""
     a = rand_herm_mpo(4, 2, 24)
-    with pytest.raises(ValueError):
-        apply_gate_adjoint(a, np.eye(4), (0, 2))
+    for sites, match in [((1, 1), "distinct"), ((0, 1, 2), "one or two"),
+                         ((0, 4), "out of range"), ((-1,), "out of range")]:
+        with pytest.raises(ValueError, match=match):
+            apply_gate_adjoint(a, np.eye(4), sites)
+    with pytest.raises(ValueError, match="4x4"):
+        apply_gate_adjoint(a, np.eye(2), (1, 0))
 
 
 def test_non_unitary_gate_rejected():
@@ -491,7 +508,7 @@ def _hermitian_results() -> dict[str, MPO]:
         # chain ends (D_left or D_right = 1) take the SVD re-split
         "gate_2site_svd_swap_end": apply_gate_adjoint(a, SWAP, (0, 1)),
         "gate_2site_svd_haar": apply_gate_adjoint(a, haar4, (3, 4)),
-        "gate_longrange": apply_gate_adjoint_longrange(a, haar4, (4, 1)),
+        "gate_longrange": apply_gate_adjoint(a, haar4, (4, 1)),
         "depolarizing": apply_depolarizing_adjoint(a, 0.13, 3),
         "superop": apply_site_superop_adjoint(
             a, superop_matrix(depolarizing(0.21)), 1),
