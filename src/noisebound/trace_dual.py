@@ -93,8 +93,10 @@ class TebdDual:
     was compressed to.  ``boundary`` records -Tr[rho_0 E_1^dag(sigma_1)]
     and ``tau_traces[t-1]`` records Tr(H_t tau^xN) for the single-site
     state ``tau``, the fixed point of the circuit's noise (see
-    :func:`_noise_fixed_point`; both None when there is none);
-    :func:`dual_value` reads them instead of building defects.
+    :func:`_noise_fixed_point`; both None when there is none).  These
+    records belong to ``circuit`` and ``target``, the objects the dual was
+    built from: :func:`dual_value` reads them instead of building defects
+    only when it is given those same objects.
     """
 
     sigmas: list[MPO]
@@ -103,6 +105,8 @@ class TebdDual:
     boundary: float
     tau: np.ndarray | None
     tau_traces: np.ndarray | None
+    circuit: CircuitSpec
+    target: MPO
 
 
 def _noise_fixed_point(circuit: CircuitSpec) -> np.ndarray | None:
@@ -146,6 +150,9 @@ def heisenberg_tebd(circuit: CircuitSpec, target: MPO, max_bond: int) -> TebdDua
     D = 16 .. 64 on a 16-site chain and no faster at D = 128 (README,
     "BLAS threads").
     """
+    if isinstance(max_bond, bool) or not isinstance(max_bond, (int, np.integer)) \
+            or max_bond < 1:
+        raise ValueError(f"max_bond must be a positive int, got {max_bond!r}")
     if target.n_sites != circuit.n_sites:
         raise ValueError("target must act on the circuit's sites")
     d = circuit.depth
@@ -172,7 +179,7 @@ def heisenberg_tebd(circuit: CircuitSpec, target: MPO, max_bond: int) -> TebdDua
             del b
         boundary = boundary_term(circuit, sigmas[0])
     return TebdDual(sigmas, defects, int(max_bond), boundary, tau,
-                    None if tau is None else traces)
+                    None if tau is None else traces, circuit, target)
 
 
 def boundary_term(circuit: CircuitSpec, sigma1: MPO) -> float:
@@ -224,11 +231,13 @@ def dual_value(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
     - ``info`` caps I_t (bits, n <= 10): -max_lambda [lambda ln2 (N - I_t)
       - lambda ln Tr exp(-H_t / lambda)], or its value at ``lambdas[t]``.
 
-    Defects are built at most once.  A :class:`TebdDual` supplies its
-    recorded boundary term and compression errors, the latter as the norms
+    Defects are built at most once.  A :class:`TebdDual` built from this
+    ``circuit`` and ``target`` (the same objects) supplies its recorded
+    boundary term and compression errors, the latter as the norms
     ||H_t||_F (upper bounds, so still certified).  It needs no defect at
     all under a purity schedule, nor under a distance schedule whose tau
-    equals the one its traces Tr(H_t tau^xN) were recorded against.
+    equals the one its traces Tr(H_t tau^xN) were recorded against.  Any
+    other dual is evaluated from its sigmas alone.
     Runs with numpy's OpenBLAS pool at one thread, as
     :func:`heisenberg_tebd` does.
     """
@@ -239,8 +248,9 @@ def dual_value(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
         raise ValueError("schedule length must equal circuit depth")
     if kind == "info" and n > 10:
         raise ValueError("the info dual uses dense free energies, capped at n=10")
-    recorded = isinstance(dual, TebdDual)
-    sigmas = dual.sigmas if recorded else dual
+    recorded = (isinstance(dual, TebdDual) and dual.circuit is circuit
+                and dual.target is target)
+    sigmas = dual.sigmas if isinstance(dual, TebdDual) else dual
     # a TebdDual's recorded fixed-point traces serve a distance schedule
     # with the same tau; the purity kind needs no trace at all
     traced = (recorded and kind == "frobenius_distance" and dual.tau is not None
@@ -381,5 +391,5 @@ def refine_dual(circuit: CircuitSpec, dual: TebdDual, target: MPO,
         [expectation_product_state(h, [tau] * n) for h in hs]))
     out = TebdDual([s.copy() for s in sigmas],
                    np.array([frobenius_norm(h) for h in hs]), dual.max_bond,
-                   boundary_term(circuit, sigmas[0]), tau, traces)
+                   boundary_term(circuit, sigmas[0]), tau, traces, circuit, target)
     return out, history

@@ -266,6 +266,37 @@ def test_tebd_error_dominated_termwise():
     assert te.bound <= tr.bound
 
 
+def test_tebd_records_serve_only_their_own_circuit():
+    """A TebdDual's recorded terms belong to the circuit and target it was
+    built from.  On another circuit of the same depth it is evaluated as a
+    list dual, below the exact energy with zero tolerance; on a circuit of
+    another depth it raises instead of broadcasting its norms."""
+    circ, target = brickwall_1d(4, 3, 0.3, 0.0, 1)
+    sched = purity_schedule(4, 3, 0.0)
+    energy = dense_simulate(circ, hamiltonian=target).energy
+    dual = heisenberg_tebd(*brickwall_1d(4, 3, 0.3, 0.9, 1), 4)
+    val = dual_value(circ, dual, target, sched)
+    assert val.bound <= energy
+    assert val.bound == dual_value(circ, dual.sigmas, target, sched).bound
+    with pytest.raises(ValueError):
+        dual_value(circ, heisenberg_tebd(*brickwall_1d(4, 1, 0.3, 0.9, 1), 4),
+                   target, sched)
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_tebd_rejects_a_bond_that_is_not_a_positive_int(depth, monkeypatch):
+    """max_bond is checked before any layer is applied."""
+    circ, target = brickwall_1d(4, depth, 0.3, 0.1, 2)
+
+    def no_work(*args):
+        raise AssertionError("a layer adjoint ran")
+
+    monkeypatch.setattr("noisebound.trace_dual.apply_layer_adjoint", no_work)
+    for bad in (0, -3, 2.5, True, "4", None):
+        with pytest.raises(ValueError, match="max_bond"):
+            heisenberg_tebd(circ, target, bad)
+
+
 # ---------------------------------------------------------------------------
 # non-unital distance bound
 
