@@ -56,8 +56,8 @@ class Layer:
     """Gates applied in list order, then ``noise`` on every site.
 
     ``_adjoint_plan`` is a cache of :func:`noisebound.trace_dual.apply_layer_adjoint`,
-    which stores the compiled adjoint there together with the gates, noise
-    and site count it was compiled from, and compiles again when they differ.
+    which stores the layer's adjoint plan there together with the gates,
+    noise and site count it was planned from, and plans again when they differ.
     """
 
     gates: list[GateOp]
