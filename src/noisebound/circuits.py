@@ -15,7 +15,7 @@ layers act on.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,17 +53,11 @@ class GateOp:
 
 @dataclass
 class Layer:
-    """Gates applied in list order, then ``noise`` on every site.
-
-    ``_adjoint_plan`` is a cache of :func:`noisebound.trace_dual.apply_layer_adjoint`,
-    which stores the layer's adjoint plan there together with the gates,
-    noise and site count it was planned from, and plans again when they differ.
-    """
+    """Gates applied in list order, then ``noise`` on every site.  A layer
+    holds no derived state, so in-place edits take effect at once."""
 
     gates: list[GateOp]
     noise: NoiseModel
-    _adjoint_plan: tuple | None = field(default=None, init=False, repr=False,
-                                        compare=False)
 
     def inverse(self) -> "Layer":
         return Layer([g.dagger() for g in reversed(self.gates)], self.noise)
@@ -285,13 +279,14 @@ def snake_index(lx: int, ly: int) -> dict[tuple[int, int], int]:
 
 
 def brickwall_2d_snake(lx: int, ly: int, depth: int, theta: float, p: float,
-                       seed: int, noise: NoiseModel | None = None,
-                       entangler=xx_gate) -> tuple[CircuitSpec, MPO]:
+                       seed: int, noise: NoiseModel | None = None
+                       ) -> tuple[CircuitSpec, MPO]:
     """Mirror brick-wall circuit on an lx x ly square lattice.
 
-    Sites are snake-ordered into a chain.  Two-qubit layers cycle through
-    odd horizontal, even horizontal, odd vertical and even vertical edges,
-    each followed by Haar singles on every site and depolarizing noise.
+    Sites are snake-ordered into a chain.  Layers apply exp(-i theta XX)
+    on the odd horizontal, even horizontal, odd vertical and even vertical
+    edges in turn, each followed by Haar singles on every site and
+    depolarizing noise.
     The first depth/2 layers entangle, the rest invert them (depth even).
 
     The target is -sum_<ij> Z_i Z_j over lattice edges, shifted and scaled
@@ -309,7 +304,7 @@ def brickwall_2d_snake(lx: int, ly: int, depth: int, theta: float, p: float,
         noise = depolarizing(p)
 
     half = []
-    u = entangler(theta)
+    u = xx_gate(theta)
     for t in range(depth // 2):
         edges = groups[order[t % 4]]
         gates = [GateOp(u, e) for e in edges]

@@ -47,7 +47,8 @@ _QUBIT_METHODS = ("trace_dual", "tebd_error", "info_only", "purity_only")
 
 # Builders call circuits and fermion through the module, so the span tracer's
 # wrappers see each call.  single_qubit_circuit builds depolarizing noise only;
-# nonunital_dual needs ZZ entanglers, which brickwall_1d alone takes.
+# nonunital_dual needs ZZ entanglers (diagonal, so they commute with
+# tau (x) tau), and brickwall_1d is the one builder with an entangler option.
 FAMILIES: dict[str, Family] = {
     "single_qubit": Family(
         lambda cfg, pt, seed, noise: circuits.single_qubit_circuit(pt.theta, pt.p),

@@ -568,21 +568,20 @@ def _defect_ops(s_list: list[QuadraticOp], circuit: FermionCircuit,
 
 def fermionic_dual_value(s_list: list[QuadraticOp],
                          circuit: FermionCircuit, target: QuadraticOp,
-                         schedule: BoundSchedule,
-                         lambdas: list[float] | None = None) -> DualValue:
+                         schedule: BoundSchedule) -> DualValue:
     """Information-content dual bound for Gaussian circuits:
 
         -<E_1^dag(sigma_1)>_{gamma_0}
             + sum_t [ G(H_t, lambda_t) + lambda_t * ln2 * (N - I_t) ]
 
     with every free energy evaluated in closed form from mode energies.
-    Certified for any quadratic duals and positive lambdas; per-step
-    lambdas are maximized by a concave search when not supplied."""
-    value, _, _ = _dual_value_parts(s_list, circuit, target, schedule, lambdas)
+    Certified for any quadratic duals and positive lambdas; each step's
+    lambda is maximized by a concave search."""
+    value, _, _ = _dual_value_parts(s_list, circuit, target, schedule)
     return value
 
 
-def _dual_value_parts(s_list, circuit, target, schedule, lambdas=None):
+def _dual_value_parts(s_list, circuit, target, schedule):
     if schedule.kind != "info":
         raise ValueError(f"expected an info schedule, got {schedule.kind!r}")
     d = circuit.depth
@@ -599,8 +598,7 @@ def _dual_value_parts(s_list, circuit, target, schedule, lambdas=None):
     gibbs = []
     for t, ht in enumerate(hs):
         c_nats = LN2 * (n - float(schedule.values[t]))
-        lam = None if lambdas is None else lambdas[t]
-        term, lam_star, spectrum = _step_term_fermion(ht, c_nats, lam)
+        term, lam_star, spectrum = _step_term_fermion(ht, c_nats, None)
         terms[t] = term
         lams[t] = lam_star
         gibbs.append(_gibbs_covariance(spectrum, lam_star))
@@ -684,14 +682,14 @@ def optimize_fermionic_dual(circuit: FermionCircuit, target: QuadraticOp,
     x0 = _pack(s0, rows, cols)
     k = rows.size
 
-    best = {"x": x0.copy(), "value": -np.inf}
+    # the best iterate's duals, lambdas and value, as evaluated
+    best = {}
 
     def negative_with_grad(theta: np.ndarray):
         s_list = _unpack(theta, consts, n, rows, cols)
         value, lams, gibbs = _dual_value_parts(s_list, circuit, target, schedule)
-        if value.bound > best["value"]:
-            best["value"] = value.bound
-            best["x"] = theta.copy()
+        if not best or value.bound > best["value"].bound:
+            best.update(s_list=s_list, lams=lams, value=value)
         grad = np.empty_like(theta)
         prev = circuit.initial_covariance
         for t in range(circuit.depth):
@@ -710,6 +708,4 @@ def optimize_fermionic_dual(circuit: FermionCircuit, target: QuadraticOp,
                 options={"maxiter": maxiter, "gtol": _LBFGS_GTOL})
     else:
         negative_with_grad(x0)
-    s_best = _unpack(best["x"], consts, n, rows, cols)
-    value, lams, _ = _dual_value_parts(s_best, circuit, target, schedule)
-    return s_best, list(lams), value
+    return best["s_list"], list(best["lams"]), best["value"]

@@ -122,7 +122,8 @@ def _validate_choi(choi: Array) -> None:
 
 
 def _apply_model(model: NoiseModel, x: Array) -> Array:
-    """Apply the channel to an arbitrary 2x2 matrix."""
+    """Apply the channel to an arbitrary 2x2 matrix (every kind but
+    ``general``, whose Choi matrix :func:`choi_matrix` returns as stored)."""
     if model.kind == "depolarizing":
         return (1.0 - model.p) * x + model.p * np.trace(x) * 0.5 * _EYE2
     if model.kind == "replacement":
@@ -135,9 +136,6 @@ def _apply_model(model: NoiseModel, x: Array) -> Array:
                  + py * PAULI["Y"] @ y @ PAULI["Y"]
                  + pz * PAULI["Z"] @ y @ PAULI["Z"])
         return (1.0 - p) * x + model.v @ mixed @ model.v.conj().T
-    if model.kind == "general":
-        k = superop_matrix(model)
-        return (k @ x.reshape(4)).reshape(2, 2)
     raise ValueError(f"unknown noise kind {model.kind!r}")
 
 
@@ -158,9 +156,6 @@ def choi_matrix(model: NoiseModel) -> Array:
 
 def superop_matrix(model: NoiseModel) -> Array:
     """4x4 matrix K with vec(N(X)) = K vec(X), row-major vec."""
-    if model.kind == "general":
-        phi = model.choi.reshape(2, 2, 2, 2)
-        return phi.transpose(1, 3, 0, 2).reshape(4, 4).copy()
     phi = choi_matrix(model).reshape(2, 2, 2, 2)
     return phi.transpose(1, 3, 0, 2).reshape(4, 4)
 

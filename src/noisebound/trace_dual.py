@@ -12,22 +12,23 @@ the noise cap after step t only decides the penalty (:func:`dual_value`).
 Bigger defects or looser caps only make the bound weaker, never unsound,
 which is what lets the whole computation run at modest bond dimension.
 
-The TEBD ansatz back-propagates -H through the adjoint circuit, compressing
-to a fixed bond dimension once after every layer; the compression errors
-are exactly the defect norms, so no separate defect evaluation is needed.
-The same pass records the boundary term and each Tr(H_t tau^xN) against the
-noise's fixed point tau, so each layer adjoint is applied once per dual,
-and evaluating a TEBD dual under a purity or distance schedule builds no
-defect operator.  A layer adjoint is one pass over the sites, planned by
-the gate walk of :mod:`noisebound.mpo` that every gate adjoint takes:
-one-site noise and gate maps fold into the factor pairs of the two-site
-gates.
+One backward pass (:func:`_backward`) builds the records of every dual:
+it walks -H down through the adjoint circuit, applying each layer adjoint
+once, while a step function picks each sigma_t and bounds ||H_t||_F.  The
+TEBD ansatz compresses to a fixed bond dimension after every layer, so its
+compression errors are the defect norms; a given sequence takes explicit
+norms.  The same pass records the boundary term and each Tr(H_t tau^xN),
+so a TEBD dual under a purity or distance schedule needs no defect
+operator.  A layer adjoint is one pass over the sites, planned by the gate
+walk of :mod:`noisebound.mpo` that every gate adjoint takes: one-site noise
+and gate maps fold into the factor pairs of the two-site gates.
 Every MPO is a real Pauli-basis operator, Hermitian by construction, so no
 step has to restore Hermiticity.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ def apply_layer_adjoint(a: MPO, layer: Layer) -> MPO:
 
     A layer acts as rho -> N^xN(U rho U^dag), so the adjoint applies the
     noise adjoint to every site first, then the gate adjoints in reverse
-    order.  The layer is planned once (see :func:`_layer_plan`) by
+    order.  Each call plans the layer with
     :func:`noisebound.mpo.adjoint_ops`, the gate walk of every gate
     adjoint, with each site's noise PTM pending, so the noise and
     single-qubit PTMs fold into the factor pairs of the next two-site gate;
@@ -61,24 +62,11 @@ def apply_layer_adjoint(a: MPO, layer: Layer) -> MPO:
     Only PTM factors and, in the SVD re-split, singular values below the
     relative floor ``SVAL_FLOOR`` are dropped, uncharged.
     """
-    return apply_ops(a, _layer_plan(layer, a.n_sites))
-
-
-def _layer_plan(layer: Layer, n: int) -> list[tuple]:
-    """The ops of ``layer``'s adjoint on ``n`` sites, cached on the layer
-    and planned again whenever its gates, noise or ``n`` differ from those
-    the cached plan was made from."""
     nm = layer.noise
-    key = (n, nm.kind, nm.p, nm.pauli_rates, nm.q,
-           *(None if x is None else x.tobytes() for x in (nm.u, nm.v, nm.tau, nm.choi)),
-           *((g.sites, g.matrix.tobytes()) for g in layer.gates))
-    cached = layer._adjoint_plan
-    if cached is None or cached[0] != key:
-        noise = (np.diag([1.0] + [1.0 - nm.p] * 3) if nm.kind == "depolarizing"
-                 else _superop_ptm(superop_matrix(nm)))
-        ops = adjoint_ops([(g.matrix, g.sites) for g in layer.gates], [noise] * n)
-        cached = layer._adjoint_plan = (key, ops)
-    return cached[1]
+    noise = (np.diag([1.0] + [1.0 - nm.p] * 3) if nm.kind == "depolarizing"
+             else _superop_ptm(superop_matrix(nm)))
+    ops = adjoint_ops([(g.matrix, g.sites) for g in layer.gates], [noise] * a.n_sites)
+    return apply_ops(a, ops)
 
 
 @dataclass
@@ -93,10 +81,9 @@ class TebdDual:
     was compressed to.  ``boundary`` records -Tr[rho_0 E_1^dag(sigma_1)]
     and ``tau_traces[t-1]`` records Tr(H_t tau^xN) for the single-site
     state ``tau``, the fixed point of the circuit's noise (see
-    :func:`_noise_fixed_point`; both None when there is none).  These
-    records belong to ``circuit`` and ``target``, the objects the dual was
-    built from: :func:`dual_value` reads them instead of building defects
-    only when it is given those same objects.
+    :func:`_noise_fixed_point`; both None when there is none).
+    ``source`` is the :func:`_source` digest of the circuit and target the
+    records hold for.
     """
 
     sigmas: list[MPO]
@@ -105,8 +92,22 @@ class TebdDual:
     boundary: float
     tau: np.ndarray | None
     tau_traces: np.ndarray | None
-    circuit: CircuitSpec
-    target: MPO
+    source: bytes
+
+
+def _source(circuit: CircuitSpec, target: MPO) -> bytes:
+    """Digest of what a dual's records depend on: each layer's noise and
+    gates, the initial state and the target tensors, by content, so an
+    in-place edit changes it.  It forms no superoperator."""
+    h = hashlib.blake2b(digest_size=16)
+    items = [circuit.n_sites, *circuit.initial_state, *target.tensors]
+    for layer in circuit.layers:
+        items += [*vars(layer.noise).values(),
+                  *(x for g in layer.gates for x in (g.sites, g.matrix))]
+    for x in items:
+        h.update(f"{x.dtype.str}{x.shape}".encode() + x.tobytes()
+                 if isinstance(x, np.ndarray) else repr(x).encode() + b";")
+    return h.digest()
 
 
 def _noise_fixed_point(circuit: CircuitSpec) -> np.ndarray | None:
@@ -129,6 +130,50 @@ def _noise_fixed_point(circuit: CircuitSpec) -> np.ndarray | None:
     return tau
 
 
+def _backward(circuit: CircuitSpec, target: MPO, tau: np.ndarray | None, step):
+    """The backward pass that builds a dual's records.
+
+    From b = -H, for t = d .. 1, ``step(t, b)`` returns sigma_t and a bound
+    on ||H_t||_F = ||sigma_t - b||_F, then b becomes E_t^dag(sigma_t); the
+    last image gives the boundary -Tr[rho_0 E_1^dag(sigma_1)].  With
+    ``tau`` given, it records Tr(H_t tau^xN) = Tr(sigma_t tau^xN) -
+    Tr(b tau^xN).  Returns (sigmas, norms, boundary, traces or None).
+    Runs with numpy's OpenBLAS pool at one thread: on 2 cores a second
+    thread was up to 1.6x slower (README, "BLAS threads").
+    """
+    d = circuit.depth
+    taus = (None if tau is None
+            else [_state_coeffs(check_density_matrix(tau))] * circuit.n_sites)
+    sigmas, norms, traces = [None] * d, np.zeros(d), np.zeros(d)
+    b = mpo_scale(target, -1.0)
+    with blas_threads(numpy=1):
+        for t in range(d, 0, -1):
+            sigma, norms[t - 1] = step(t, b)
+            if taus is not None:
+                traces[t - 1] = _product_trace(sigma, taus) - _product_trace(b, taus)
+            sigmas[t - 1] = sigma
+            del b  # the largest operand: free it before the next is built
+            b = apply_layer_adjoint(sigma, circuit.layers[t - 1])
+        boundary = -expectation_product_state(b, circuit.initial_state)
+    return sigmas, norms, boundary, None if taus is None else traces
+
+
+def _given(circuit: CircuitSpec, sigmas: list[MPO], defects: list | None = None):
+    """:func:`_backward`'s step for a given sequence: sigma_t and the norm
+    of H_t = sigma_t - b, built by exact MPO subtraction (bond dimensions
+    add) and put in ``defects`` if that is a list."""
+    if len(sigmas) != circuit.depth:
+        raise ValueError("need one dual variable per circuit layer")
+
+    def step(t, b):
+        h = mpo_add(sigmas[t - 1], mpo_scale(b, -1.0))
+        if defects is not None:
+            defects.insert(0, h)
+        return sigmas[t - 1], frobenius_norm(h)
+
+    return step
+
+
 def heisenberg_tebd(circuit: CircuitSpec, target: MPO, max_bond: int) -> TebdDual:
     """Back-propagate -H through the adjoint circuit at fixed bond dimension.
 
@@ -138,17 +183,9 @@ def heisenberg_tebd(circuit: CircuitSpec, target: MPO, max_bond: int) -> TebdDua
     adjoints are exact up to the 1e-14 relative floor ``SVAL_FLOOR``: they
     drop PTM factors below it and, in the SVD re-split at chain ends and
     for rank-4 gates, singular values below it.  Neither is charged; both
-    are far below every tolerance used downstream.
-
-    Each layer adjoint is applied once: the result also records the
-    boundary term and, against the noise's fixed point tau, each
-    Tr(H_t tau^xN) = Tr(sigma_t tau^xN) - Tr(b_t tau^xN), b_t the
-    uncompressed image whose compression is sigma_t.
-
-    Runs with numpy's OpenBLAS pool lowered to one thread (restored on
-    exit): on a 2-core machine a second thread was up to 1.6x slower at
-    D = 16 .. 64 on a 16-site chain and no faster at D = 128 (README,
-    "BLAS threads").
+    are far below every tolerance used downstream.  The sequence is one
+    :func:`_backward` pass, which also records the boundary term and each
+    Tr(H_t tau^xN) against the noise's fixed point tau.
     """
     if isinstance(max_bond, bool) or not isinstance(max_bond, (int, np.integer)) \
             or max_bond < 1:
@@ -159,27 +196,10 @@ def heisenberg_tebd(circuit: CircuitSpec, target: MPO, max_bond: int) -> TebdDua
     if d < 1:
         raise ValueError("circuit must have at least one layer")
     tau = _noise_fixed_point(circuit)
-    taus = (None if tau is None
-            else [_state_coeffs(check_density_matrix(tau))] * circuit.n_sites)
-    sigmas: list[MPO | None] = [None] * d
-    defects = np.zeros(d)
-    traces = np.zeros(d)
-    sigmas[d - 1] = mpo_scale(target, -1.0)
-    with blas_threads(numpy=1):
-        if taus is not None:
-            traces[d - 1] = _product_trace(mpo_add(target, sigmas[d - 1]), taus)
-        for t in range(d - 1, 0, -1):
-            b = apply_layer_adjoint(sigmas[t], circuit.layers[t])
-            sigmas[t - 1], defects[t - 1] = compress(b, max_bond)
-            if taus is not None:
-                traces[t - 1] = (_product_trace(sigmas[t - 1], taus)
-                                 - _product_trace(b, taus))
-            # the uncompressed image is the largest operand: drop it before
-            # the next layer (or the boundary term) builds another
-            del b
-        boundary = boundary_term(circuit, sigmas[0])
-    return TebdDual(sigmas, defects, int(max_bond), boundary, tau,
-                    None if tau is None else traces, circuit, target)
+    sigmas, defects, boundary, traces = _backward(
+        circuit, target, tau, lambda t, b: (b, 0.0) if t == d else compress(b, max_bond))
+    return TebdDual(sigmas, defects, int(max_bond), boundary, tau, traces,
+                    _source(circuit, target))
 
 
 def boundary_term(circuit: CircuitSpec, sigma1: MPO) -> float:
@@ -189,26 +209,17 @@ def boundary_term(circuit: CircuitSpec, sigma1: MPO) -> float:
 
 
 def defect_mpos(circuit: CircuitSpec, sigmas: list[MPO], target: MPO) -> list[MPO]:
-    """Explicit defect operators H_1 .. H_d for an arbitrary dual sequence.
-
-    H_t = sigma_t - E_{t+1}^dag(sigma_{t+1}) and H_d = H + sigma_d, built
-    by exact MPO subtraction (bond dimensions add).
-    """
-    d = circuit.depth
-    if len(sigmas) != d:
-        raise ValueError("need one dual variable per circuit layer")
-    out = []
-    for t in range(1, d):
-        b = apply_layer_adjoint(sigmas[t], circuit.layers[t])
-        out.append(mpo_add(sigmas[t - 1], mpo_scale(b, -1.0)))
-    out.append(mpo_add(target, sigmas[d - 1]))
-    return out
+    """Explicit defect operators H_1 .. H_d for an arbitrary dual sequence:
+    H_t = sigma_t - E_{t+1}^dag(sigma_{t+1}) and H_d = H + sigma_d."""
+    hs: list[MPO] = []
+    _backward(circuit, target, None, _given(circuit, sigmas, hs))
+    return hs
 
 
 def explicit_defect_norms(circuit: CircuitSpec, sigmas: list[MPO],
                           target: MPO) -> np.ndarray:
     """Frobenius norms of the explicit defect operators."""
-    return np.array([frobenius_norm(h) for h in defect_mpos(circuit, sigmas, target)])
+    return _backward(circuit, target, None, _given(circuit, sigmas))[1]
 
 
 @dataclass
@@ -231,15 +242,14 @@ def dual_value(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
     - ``info`` caps I_t (bits, n <= 10): -max_lambda [lambda ln2 (N - I_t)
       - lambda ln Tr exp(-H_t / lambda)], or its value at ``lambdas[t]``.
 
-    Defects are built at most once.  A :class:`TebdDual` built from this
-    ``circuit`` and ``target`` (the same objects) supplies its recorded
-    boundary term and compression errors, the latter as the norms
-    ||H_t||_F (upper bounds, so still certified).  It needs no defect at
-    all under a purity schedule, nor under a distance schedule whose tau
-    equals the one its traces Tr(H_t tau^xN) were recorded against.  Any
-    other dual is evaluated from its sigmas alone.
-    Runs with numpy's OpenBLAS pool at one thread, as
-    :func:`heisenberg_tebd` does.
+    A :class:`TebdDual` whose circuit and target still hold what they held
+    at its build (same :func:`_source` digest) supplies its boundary term
+    and compression errors, the latter as the norms ||H_t||_F (upper
+    bounds, so still certified).  It needs no layer adjoint under a purity
+    schedule, nor under a distance schedule with the tau of its recorded
+    traces Tr(H_t tau^xN); under another tau one :func:`_backward` pass
+    records the traces.  Any other dual is one pass over its sigmas, which
+    builds each H_t once.  Runs with numpy's OpenBLAS pool at one thread.
     """
     kind, caps, n = schedule.kind, schedule.values, circuit.n_sites
     if kind not in ("purity", "frobenius_distance", "info"):
@@ -248,17 +258,19 @@ def dual_value(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
         raise ValueError("schedule length must equal circuit depth")
     if kind == "info" and n > 10:
         raise ValueError("the info dual uses dense free energies, capped at n=10")
-    recorded = (isinstance(dual, TebdDual) and dual.circuit is circuit
-                and dual.target is target)
+    recorded = isinstance(dual, TebdDual) and dual.source == _source(circuit, target)
     sigmas = dual.sigmas if isinstance(dual, TebdDual) else dual
-    # a TebdDual's recorded fixed-point traces serve a distance schedule
-    # with the same tau; the purity kind needs no trace at all
-    traced = (recorded and kind == "frobenius_distance" and dual.tau is not None
-              and np.array_equal(dual.tau, schedule.tau))
+    tau = schedule.tau if kind == "frobenius_distance" else None
+    hs: list[MPO] | None = [] if kind == "info" else None
     with blas_threads(numpy=1):
-        hs = (None if recorded and (kind == "purity" or traced)
-              else defect_mpos(circuit, sigmas, target))
-        boundary = dual.boundary if recorded else boundary_term(circuit, sigmas[0])
+        if recorded and (kind == "purity" or (
+                tau is not None and np.array_equal(dual.tau, tau))):
+            boundary, norms, traces = dual.boundary, dual.step_defects, dual.tau_traces
+        else:
+            # a recorded dual under another tau keeps its norms
+            step = ((lambda t, b: (sigmas[t - 1], dual.step_defects[t - 1]))
+                    if recorded and hs is None else _given(circuit, sigmas, hs))
+            _, norms, boundary, traces = _backward(circuit, target, tau, step)
         if kind == "info":
             # function-local: info_dual imports this module
             from .info_dual import LN2, _spectrum, free_energy_term
@@ -267,16 +279,7 @@ def dual_value(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
                                  None if lambdas is None else lambdas[t])[0]
                 for t, (h, cap) in enumerate(zip(hs, caps))])
         else:
-            norms = (dual.step_defects if recorded
-                     else np.array([frobenius_norm(h) for h in hs]))
-            if kind == "purity":
-                penalties = np.sqrt(caps) * norms
-            elif traced:
-                penalties = caps * norms - dual.tau_traces
-            else:
-                taus = [schedule.tau] * n
-                penalties = caps * norms - np.array(
-                    [expectation_product_state(h, taus) for h in hs])
+            penalties = np.sqrt(caps) * norms if kind == "purity" else caps * norms - traces
     return DualValue(boundary - float(np.sum(penalties)), boundary, penalties)
 
 
@@ -347,9 +350,10 @@ def refine_dual(circuit: CircuitSpec, dual: TebdDual, target: MPO,
     strictly improves, so the returned value history is non-decreasing.
 
     Candidates are compressed back to the original bond dimension before
-    evaluation; the returned dual's defect norms, boundary term and
-    fixed-point traces are recomputed explicitly, since the TEBD
-    bookkeeping no longer applies to a perturbed sequence.
+    evaluation; the returned dual's records (explicit defect norms,
+    boundary term and fixed-point traces) come from one :func:`_backward`
+    pass over the refined sequence, since the TEBD bookkeeping no longer
+    applies to a perturbed sequence.
     """
     rng = circuit_rng(seed)
     n, d = circuit.n_sites, circuit.depth
@@ -385,11 +389,8 @@ def refine_dual(circuit: CircuitSpec, dual: TebdDual, target: MPO,
                 break
             step *= 0.5
         history.append(best)
-    hs = defect_mpos(circuit, sigmas, target)
     tau = _noise_fixed_point(circuit)
-    traces = (None if tau is None else np.array(
-        [expectation_product_state(h, [tau] * n) for h in hs]))
-    out = TebdDual([s.copy() for s in sigmas],
-                   np.array([frobenius_norm(h) for h in hs]), dual.max_bond,
-                   boundary_term(circuit, sigmas[0]), tau, traces, circuit, target)
-    return out, history
+    sigmas, norms, boundary, traces = _backward(circuit, target, tau,
+                                                _given(circuit, sigmas))
+    return TebdDual(sigmas, norms, dual.max_bond, boundary, tau, traces,
+                    _source(circuit, target)), history

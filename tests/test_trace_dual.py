@@ -155,8 +155,8 @@ def test_layer_adjoint_matches_dense(family, kind, p):
 
 
 def test_layer_plan_follows_the_layer():
-    """The compiled adjoint cached on a layer is compiled again when a
-    gate or the noise of the layer changes in place."""
+    """The layer adjoint follows in-place edits of the layer's gates and
+    noise: each call plans the layer as it is."""
     circ, _ = brickwall_1d(4, 3, 0.4, 0.1, 2)
     layer = circ.layers[1]
     rng = np.random.default_rng(4)
@@ -283,6 +283,39 @@ def test_tebd_records_serve_only_their_own_circuit():
                    target, sched)
 
 
+def _edit(circ, target, what):
+    if what == "noise":
+        for layer in circ.layers:
+            layer.noise = depolarizing(0.0)
+    elif what == "gate":
+        m = circ.layers[1].gates[0].matrix
+        m[...] = m.conj()
+    elif what == "initial_state":
+        circ.initial_state[0][...] = np.diag([0.0, 1.0])
+    else:
+        target.tensors[0][...] *= 2.0
+
+
+@pytest.mark.parametrize("what", ["noise", "gate", "initial_state", "target"])
+def test_tebd_records_follow_in_place_edits(what):
+    """A TebdDual's records serve only while its circuit and target hold
+    what they held at the build.  After an in-place edit of the noise of
+    every layer, one gate matrix, the initial state or a target tensor,
+    the dual is evaluated from its sigmas, at or below the exact energy
+    with zero tolerance.  Dropping the noise of the D = 4 dual of
+    brickwall_1d(4, 3, 0.3, 0.9, 1) gives -0.512 against an exact energy
+    of 1.4e-17, where the stale records gave 0.4992."""
+    circ, target = brickwall_1d(4, 3, 0.3, 0.9, 1)
+    dual = heisenberg_tebd(circ, target, 4)
+    sched = purity_schedule(4, 3, 0.0)
+    _edit(circ, target, what)
+    val = dual_value(circ, dual, target, sched)
+    assert val.bound == dual_value(circ, dual.sigmas, target, sched).bound
+    assert val.bound <= dense_simulate(circ, hamiltonian=target).energy
+    if what == "noise":
+        assert val.bound == pytest.approx(-0.512, abs=1e-3)
+
+
 @pytest.mark.parametrize("depth", [1, 3])
 def test_tebd_rejects_a_bond_that_is_not_a_positive_int(depth, monkeypatch):
     """max_bond is checked before any layer is applied."""
@@ -364,29 +397,31 @@ def test_schedule_kind_mismatch_raises():
 
 
 def test_defects_built_once(monkeypatch):
-    """A list dual under a distance schedule builds its defects once, for
-    both the norms and the fixed-point terms; a TEBD dual under a purity
-    schedule needs none."""
+    """A list dual under a distance schedule applies each layer adjoint
+    once, for its norms, fixed-point terms and boundary together; a TEBD
+    dual under a purity schedule or a distance schedule with its own tau
+    applies none, and under another tau one per layer."""
     import noisebound.trace_dual as td
     circ, target, tau, sched = nonunital_setup(0)
+    d = circ.depth
     calls = []
 
     def counted(*args):
         calls.append(1)
-        return defect_mpos(*args)
+        return apply_layer_adjoint(*args)
 
-    monkeypatch.setattr(td, "defect_mpos", counted)
-    dual_value(circ, random_dual(circ, 2, 0), target, sched)
-    assert len(calls) == 1
-    calls.clear()
     dual = heisenberg_tebd(circ, target, max_bond=2)
-    dual_value(circ, dual, target, purity_schedule(circ.n_sites, circ.depth, 0.1))
+    monkeypatch.setattr(td, "apply_layer_adjoint", counted)
+    dual_value(circ, random_dual(circ, 2, 0), target, sched)
+    assert len(calls) == d
+    calls.clear()
+    dual_value(circ, dual, target, purity_schedule(circ.n_sites, d, 0.1))
     dual_value(circ, dual, target, sched)
     assert calls == []
-    # a distance schedule against another tau needs the explicit defects
+    # a distance schedule against another tau needs the traces again
     other = BoundSchedule("frobenius_distance", sched.values, biased_tau(0.3))
     dual_value(circ, dual, target, other)
-    assert len(calls) == 1
+    assert len(calls) == d
 
 
 @pytest.mark.parametrize("noisy", ["depolarizing", "replacement"])
