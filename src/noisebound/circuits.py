@@ -19,14 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mpo import (_EYE2, MPO, PAULI, Array, apply_gate, compress,
-                  from_pauli_sum, sum_local_mpo)
+from .mpo import (_EYE2, MPO, PAULI, Array, _frozen, apply_gate,
+                  check_density_matrix, compress, from_pauli_sum, sum_local_mpo)
 from .noise import NoiseModel, depolarizing
 
-KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+KET0 = _frozen(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GateOp:
     """A unitary on one or two sites.  Two-site gates may be non-adjacent;
     matrix-product callers realize those through swap chains."""
@@ -35,8 +35,8 @@ class GateOp:
     sites: tuple[int, ...]
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        self.sites = tuple(int(s) for s in self.sites)
+        object.__setattr__(self, "matrix", _frozen(np.asarray(self.matrix, dtype=complex)))
+        object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
         dim = 2 ** len(self.sites)
         if len(self.sites) not in (1, 2):
             raise ValueError("gates act on one or two sites")
@@ -44,40 +44,47 @@ class GateOp:
             raise ValueError("gate sites must be distinct")
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"gate on {self.sites} must be {dim}x{dim}")
-        if np.abs(self.matrix.conj().T @ self.matrix - np.eye(dim)).max() > 1e-10:
-            raise ValueError("gate matrix is not unitary")
+        # written so that NaN, which fails every comparison, is rejected
+        if not np.abs(self.matrix.conj().T @ self.matrix - np.eye(dim)).max() <= 1e-10:
+            raise ValueError("gate matrix is not a finite unitary")
 
     def dagger(self) -> "GateOp":
         return GateOp(self.matrix.conj().T, self.sites)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Layer:
-    """Gates applied in list order, then ``noise`` on every site.  A layer
-    holds no derived state, so in-place edits take effect at once."""
+    """Gates applied in order, then ``noise`` on every site."""
 
-    gates: list[GateOp]
+    gates: tuple[GateOp, ...]
     noise: NoiseModel
+
+    def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))
 
     def inverse(self) -> "Layer":
         return Layer([g.dagger() for g in reversed(self.gates)], self.noise)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CircuitSpec:
-    """n_sites, layers, and a product initial state (default |0...0>).
+    """n_sites, layers, and a product initial state (default |0...0>),
+    each local state checked once here.
 
-    Gates within a layer are applied sequentially in list order; the
-    layer's noise channel then acts once on every site.
+    Gates within a layer are applied sequentially in order; the layer's
+    noise channel then acts once on every site.
     """
 
     n_sites: int
-    layers: list[Layer]
-    initial_state: list[Array] | None = None
+    layers: tuple[Layer, ...]
+    initial_state: tuple[Array, ...] | None = None
 
     def __post_init__(self):
-        if self.initial_state is None:
-            self.initial_state = [KET0.copy() for _ in range(self.n_sites)]
+        states = (KET0,) * self.n_sites if self.initial_state is None else self.initial_state
+        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "initial_state", tuple(
+            _frozen(check_density_matrix(rho, f"initial_state[{k}]"))
+            for k, rho in enumerate(states)))
         if len(self.initial_state) != self.n_sites:
             raise ValueError("one local initial state per site required")
         for t, layer in enumerate(self.layers):
@@ -166,13 +173,13 @@ def two_site_clifford_table() -> tuple[Array, ...]:
         frontier = new
     if len(table) != 11520:  # |Sp(4,2)| * 16 = 720 * 16
         raise RuntimeError(f"Clifford closure produced {len(table)} elements")
-    return tuple(table.values())
+    return tuple(map(_frozen, table.values()))
 
 
 def random_two_site_clifford(rng: np.random.Generator) -> Array:
     """Uniform sample from the 11520-element two-qubit Clifford group."""
     table = two_site_clifford_table()
-    return table[int(rng.integers(len(table)))].copy()
+    return table[int(rng.integers(len(table)))]
 
 
 def circuit_rng(seed: int) -> np.random.Generator:
@@ -250,6 +257,8 @@ def brickwall_1d(n: int, depth: int, theta: float, p: float, seed: int,
     """
     if n < 2:
         raise ValueError("need at least two sites")
+    if not np.isfinite(theta):
+        raise ValueError(f"theta={theta} must be finite")
     if depth < 1 or depth % 2 == 0:
         raise ValueError("depth must be odd: 1 Hamiltonian layer + mirrored pairs")
     rng = circuit_rng(seed)
@@ -294,6 +303,8 @@ def brickwall_2d_snake(lx: int, ly: int, depth: int, theta: float, p: float,
     """
     if lx < 1 or ly < 1 or lx * ly < 2:
         raise ValueError("lattice must contain at least two sites")
+    if not np.isfinite(theta):
+        raise ValueError(f"theta={theta} must be finite")
     if depth < 2 or depth % 2 != 0:
         raise ValueError("depth must be even for an entangle/un-entangle mirror")
     n = lx * ly

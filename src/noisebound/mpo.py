@@ -27,8 +27,6 @@ pair and bringing a distant one adjacent through a swap chain, and
 the canonical gauge while computing only the triangular factor of each QR
 (the explicit isometries are never formed), so its cost is one R-only QR
 and one SVD per cut.
-
-All operations are functional: inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -45,7 +43,20 @@ Array = np.ndarray
 # from inflating bonds with numerical noise.
 SVAL_FLOOR = 1e-14
 
-_EYE2 = np.eye(2, dtype=complex)
+
+def _frozen(a: Array) -> Array:
+    """``a`` if it and every array on its ``.base`` chain are read-only, else a
+    read-only copy (a view marked read-only is still writable through its base)."""
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None:
+        a = np.array(a)
+        a.flags.writeable = False
+    return a
+
+
+_EYE2 = _frozen(np.eye(2, dtype=complex))
 _EYE4 = np.eye(4)
 
 PAULI = {
@@ -69,17 +80,18 @@ _SQRT2 = np.sqrt(2.0)
 _BASIS = np.stack([PAULI[ch] for ch in "IXYZ"]) / _SQRT2
 _BASIS2 = np.einsum("aij,bkl->abikjl", _BASIS, _BASIS).reshape(16, 4, 4)
 # coefficients of the 2x2 identity, sqrt(2) B_I
-_ID_COEFFS = np.array([_SQRT2, 0.0, 0.0, 0.0])
+_ID_COEFFS = _frozen(np.array([_SQRT2, 0.0, 0.0, 0.0]))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MPO:
     """A Hermitian operator on ``n`` qubits in Pauli-basis matrix-product
-    form; ``tensors[k]`` is real with shape ``(Dl, 4, Dr)``."""
+    form; ``tensors[k]`` is real with shape ``(Dl, 4, Dr)``, read-only and unaliased."""
 
-    tensors: list[Array]
+    tensors: tuple[Array, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "tensors", tuple(map(_frozen, self.tensors)))
         if not self.tensors:
             raise ValueError("MPO needs at least one site tensor")
         for k, t in enumerate(self.tensors):
@@ -134,7 +146,7 @@ def _site_coeffs(op: Array) -> Array:
 
 
 def identity_mpo(n: int) -> MPO:
-    return MPO([_ID_COEFFS.reshape(1, 4, 1).copy() for _ in range(n)])
+    return MPO([_ID_COEFFS.reshape(1, 4, 1)] * n)
 
 
 def from_pauli_sum(terms: list[tuple[str, float]], n: int | None = None) -> MPO:
@@ -267,16 +279,25 @@ def expectation_product_state(a: MPO, states: list[Array]) -> float:
     """
     if len(states) != a.n_sites:
         raise ValueError("one local state per site required")
-    for k, rho in enumerate(states):
-        if rho.shape != (2, 2):
-            raise ValueError(f"site {k}: state must be 2x2")
-        if abs(np.trace(rho) - 1.0) > 1e-8:
-            raise ValueError(f"site {k}: trace {np.trace(rho)} != 1")
-        if np.abs(rho - rho.conj().T).max() > 1e-8:
-            raise ValueError(f"site {k}: state not Hermitian")
-        if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -1e-8:
-            raise ValueError(f"site {k}: state not positive semidefinite")
-    return _product_trace(a, [_state_coeffs(rho) for rho in states])
+    return _product_trace(a, [_state_coeffs(check_density_matrix(rho, f"site {k} state"))
+                              for k, rho in enumerate(states)])
+
+
+def check_density_matrix(tau: Array, name: str = "tau") -> Array:
+    """``tau`` as a complex array, if it is a finite 2x2 density matrix;
+    otherwise a ValueError naming it."""
+    tau = np.asarray(tau, dtype=complex)
+    if tau.shape != (2, 2):
+        raise ValueError(f"{name} must be 2x2")
+    if not np.isfinite(tau).all():
+        raise ValueError(f"{name} must be finite")
+    if np.abs(tau - tau.conj().T).max() > 1e-10:
+        raise ValueError(f"{name} must be Hermitian")
+    if abs(np.trace(tau).real - 1.0) > 1e-10:
+        raise ValueError(f"{name} must have unit trace")
+    if np.linalg.eigvalsh(tau).min() < -1e-12:
+        raise ValueError(f"{name} must be positive semidefinite")
+    return tau
 
 
 def _state_coeffs(rho: Array) -> Array:
@@ -329,8 +350,6 @@ def compress(a: MPO, max_bond: int) -> tuple[MPO, float]:
     if max_bond < 1:
         raise ValueError("max_bond must be >= 1")
     n = a.n_sites
-    if n == 1:
-        return a.copy(), 0.0
     # rts[k] = R_k^T, shape (Dl_k, r_k); the last site's right bond is 1
     rts: list[Array] = [None] * n + [np.ones((1, 1))]
     for k in range(n - 1, 0, -1):
@@ -393,10 +412,7 @@ def _ptm_factors(key: bytes) -> tuple[Array, Array]:
     um, s, vh = np.linalg.svd(m)
     k = _floor_rank(s)
     fa = (um[:, :k] * s[:k]).T.reshape(k, 4, 4)
-    fb = vh[:k].reshape(k, 4, 4)
-    fa.flags.writeable = False
-    fb.flags.writeable = False
-    return fa, fb
+    return _frozen(fa), _frozen(vh[:k].reshape(k, 4, 4))
 
 
 def apply_gate_adjoint(a: MPO, gate: Array, sites: tuple[int, ...]) -> MPO:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mpo import _EYE2, PAULI, Array
+from .mpo import _EYE2, PAULI, Array, _frozen, check_density_matrix
 
 if TYPE_CHECKING:  # pragma: no cover
     from .circuits import CircuitSpec
@@ -36,7 +36,7 @@ class NoiseModel:
     """A single-qubit channel applied to every site after a circuit layer.
 
     kind is one of ``depolarizing | unital_pauli | replacement | general``.
-    Only the fields relevant to the kind are populated.
+    Only the fields relevant to the kind are set; arrays are read-only copies.
     """
 
     kind: str
@@ -47,6 +47,10 @@ class NoiseModel:
     q: float = 0.0
     tau: Array | None = None
     choi: Array | None = None
+
+    def __post_init__(self):
+        for f in ("u", "v", "tau", "choi"):
+            object.__setattr__(self, f, _frozen(getattr(self, f)))
 
 
 def depolarizing(p: float) -> NoiseModel:
@@ -59,29 +63,16 @@ def unital_pauli(px: float, py: float, pz: float,
                  u: Array | None = None, v: Array | None = None) -> NoiseModel:
     """(1-p) rho + V (sum_P p_P P U rho U^dag P) V^dag with p = px+py+pz."""
     rates = (float(px), float(py), float(pz))
-    if min(rates) <= 0.0:
+    if not all(r > 0.0 for r in rates):  # NaN fails too
         raise ValueError("unital_pauli requires px, py, pz > 0 (full Kraus rank)")
     if sum(rates) >= 1.0:
         raise ValueError("unital_pauli requires px + py + pz < 1")
-    u = _EYE2.copy() if u is None else np.asarray(u, dtype=complex)
-    v = _EYE2.copy() if v is None else np.asarray(v, dtype=complex)
-    for w in (u, v):
-        if np.abs(w.conj().T @ w - np.eye(2)).max() > 1e-10:
-            raise ValueError("U, V must be unitary")
+    u = _EYE2 if u is None else np.asarray(u, dtype=complex)
+    v = _EYE2 if v is None else np.asarray(v, dtype=complex)
+    for name, w in (("u", u), ("v", v)):
+        if not np.abs(w.conj().T @ w - np.eye(2)).max() <= 1e-10:  # NaN fails too
+            raise ValueError(f"{name} must be a finite unitary")
     return NoiseModel(kind="unital_pauli", pauli_rates=rates, u=u, v=v)
-
-
-def check_density_matrix(tau: Array, name: str = "tau") -> Array:
-    tau = np.asarray(tau, dtype=complex)
-    if tau.shape != (2, 2):
-        raise ValueError(f"{name} must be 2x2")
-    if np.abs(tau - tau.conj().T).max() > 1e-10:
-        raise ValueError(f"{name} must be Hermitian")
-    if abs(np.trace(tau).real - 1.0) > 1e-10:
-        raise ValueError(f"{name} must have unit trace")
-    if np.linalg.eigvalsh(tau).min() < -1e-12:
-        raise ValueError(f"{name} must be positive semidefinite")
-    return tau
 
 
 def replacement(q: float, tau: Array) -> NoiseModel:
@@ -142,7 +133,7 @@ def _apply_model(model: NoiseModel, x: Array) -> Array:
 def choi_matrix(model: NoiseModel) -> Array:
     """Unnormalized Choi matrix, input factor first."""
     if model.kind == "general":
-        return model.choi.copy()
+        return model.choi
     phi = np.zeros((2, 2, 2, 2), dtype=complex)  # [j, a, k, b]
     for j in range(2):
         for k in range(2):
@@ -194,6 +185,8 @@ def unital_rate(model: NoiseModel) -> float:
 
 def purity_schedule(n: int, depth: int, p: float) -> BoundSchedule:
     """P_t = 2^{-n (1 - (1-p)^t)} for t = 1..depth."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"rate p={p} outside [0, 1]")
     t = np.arange(1, depth + 1)
     vals = np.exp2(-n * (1.0 - (1.0 - p) ** t))
     return BoundSchedule("purity", vals)
@@ -201,6 +194,8 @@ def purity_schedule(n: int, depth: int, p: float) -> BoundSchedule:
 
 def info_schedule(n: int, depth: int, p: float) -> BoundSchedule:
     """I_t = n (1-p)^t bits for t = 1..depth."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"rate p={p} outside [0, 1]")
     t = np.arange(1, depth + 1)
     vals = n * (1.0 - p) ** t
     return BoundSchedule("info", vals)

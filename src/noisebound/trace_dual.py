@@ -28,7 +28,6 @@ step has to restore Hermiticity.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +71,8 @@ def apply_layer_adjoint(a: MPO, layer: Layer) -> MPO:
 @dataclass
 class TebdDual:
     """TEBD-generated dual sequence, its per-step defect norms, and the
-    terms of the bound that need no defect operator.
+    terms of the bound that need no defect operator, for the frozen
+    ``circuit`` and ``target`` it was built from.
 
     ``sigmas[t-1]`` is sigma_t; ``step_defects[t-1]`` upper-bounds
     ||sigma_t - E_{t+1}^dag(sigma_{t+1})||_F (and ||H + sigma_d||_F for the
@@ -82,8 +82,6 @@ class TebdDual:
     and ``tau_traces[t-1]`` records Tr(H_t tau^xN) for the single-site
     state ``tau``, the fixed point of the circuit's noise (see
     :func:`_noise_fixed_point`; both None when there is none).
-    ``source`` is the :func:`_source` digest of the circuit and target the
-    records hold for.
     """
 
     sigmas: list[MPO]
@@ -92,22 +90,8 @@ class TebdDual:
     boundary: float
     tau: np.ndarray | None
     tau_traces: np.ndarray | None
-    source: bytes
-
-
-def _source(circuit: CircuitSpec, target: MPO) -> bytes:
-    """Digest of what a dual's records depend on: each layer's noise and
-    gates, the initial state and the target tensors, by content, so an
-    in-place edit changes it.  It forms no superoperator."""
-    h = hashlib.blake2b(digest_size=16)
-    items = [circuit.n_sites, *circuit.initial_state, *target.tensors]
-    for layer in circuit.layers:
-        items += [*vars(layer.noise).values(),
-                  *(x for g in layer.gates for x in (g.sites, g.matrix))]
-    for x in items:
-        h.update(f"{x.dtype.str}{x.shape}".encode() + x.tobytes()
-                 if isinstance(x, np.ndarray) else repr(x).encode() + b";")
-    return h.digest()
+    circuit: CircuitSpec
+    target: MPO
 
 
 def _noise_fixed_point(circuit: CircuitSpec) -> np.ndarray | None:
@@ -199,7 +183,7 @@ def heisenberg_tebd(circuit: CircuitSpec, target: MPO, max_bond: int) -> TebdDua
     sigmas, defects, boundary, traces = _backward(
         circuit, target, tau, lambda t, b: (b, 0.0) if t == d else compress(b, max_bond))
     return TebdDual(sigmas, defects, int(max_bond), boundary, tau, traces,
-                    _source(circuit, target))
+                    circuit, target)
 
 
 def boundary_term(circuit: CircuitSpec, sigma1: MPO) -> float:
@@ -242,9 +226,9 @@ def dual_value(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
     - ``info`` caps I_t (bits, n <= 10): -max_lambda [lambda ln2 (N - I_t)
       - lambda ln Tr exp(-H_t / lambda)], or its value at ``lambdas[t]``.
 
-    A :class:`TebdDual` whose circuit and target still hold what they held
-    at its build (same :func:`_source` digest) supplies its boundary term
-    and compression errors, the latter as the norms ||H_t||_F (upper
+    A :class:`TebdDual` built from this very ``circuit`` and ``target``
+    (both frozen, so identity is content) supplies its boundary term and
+    compression errors, the latter as the norms ||H_t||_F (upper
     bounds, so still certified).  It needs no layer adjoint under a purity
     schedule, nor under a distance schedule with the tau of its recorded
     traces Tr(H_t tau^xN); under another tau one :func:`_backward` pass
@@ -258,7 +242,7 @@ def dual_value(circuit: CircuitSpec, dual: "TebdDual | list[MPO]",
         raise ValueError("schedule length must equal circuit depth")
     if kind == "info" and n > 10:
         raise ValueError("the info dual uses dense free energies, capped at n=10")
-    recorded = isinstance(dual, TebdDual) and dual.source == _source(circuit, target)
+    recorded = isinstance(dual, TebdDual) and dual.circuit is circuit and dual.target is target
     sigmas = dual.sigmas if isinstance(dual, TebdDual) else dual
     tau = schedule.tau if kind == "frobenius_distance" else None
     hs: list[MPO] | None = [] if kind == "info" else None
@@ -361,7 +345,7 @@ def refine_dual(circuit: CircuitSpec, dual: TebdDual, target: MPO,
     def evaluate(sigmas: list[MPO]) -> float:
         return dual_value(circuit, sigmas, target, schedule).bound
 
-    sigmas = [s.copy() for s in dual.sigmas]
+    sigmas = list(dual.sigmas)
     best = evaluate(sigmas)
     history = [best]
     for _ in range(rounds):
@@ -393,4 +377,4 @@ def refine_dual(circuit: CircuitSpec, dual: TebdDual, target: MPO,
     sigmas, norms, boundary, traces = _backward(circuit, target, tau,
                                                 _given(circuit, sigmas))
     return TebdDual(sigmas, norms, dual.max_bond, boundary, tau, traces,
-                    _source(circuit, target)), history
+                    circuit, target), history

@@ -5,6 +5,8 @@ must be the designated ground state) and the commuting targets by explicit
 spectra.
 """
 
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,8 @@ from noisebound.circuits import (
     zz_gate,
 )
 from noisebound.exact import SignedPauli, dense_simulate, stabilizer_heisenberg
-from noisebound.noise import depolarizing
+from noisebound.noise import (biased_tau, choi_matrix, depolarizing, general_channel,
+                              replacement, unital_pauli)
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -293,3 +296,75 @@ def test_layer_inverse_round_trip():
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
     assert np.abs(run.rho - rho0).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# frozen circuits, MPOs and noise models
+
+
+def test_circuits_mpos_and_noise_models_cannot_change():
+    """Assigning to any field of a GateOp, Layer, CircuitSpec, MPO or
+    NoiseModel raises, and so does writing into any array they hold."""
+    circ, target = brickwall_1d(4, 3, 0.3, 0.1, 1)
+    layer = circ.layers[0]
+    gate = layer.gates[0]
+    tau = biased_tau(0.1)
+    models = [layer.noise, replacement(0.2, tau), general_channel(choi_matrix(
+        replacement(0.2, tau))), unital_pauli(0.1, 0.1, 0.1, u=_X, v=_Z)]
+    for obj in [gate, layer, circ, target, *models]:
+        for f in fields(obj):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+    arrays = [gate.matrix, *circ.initial_state, *target.tensors,
+              *(getattr(m, f) for m in models for f in ("u", "v", "tau", "choi")
+                if getattr(m, f) is not None)]
+    assert len(arrays) == 1 + 4 + 4 + 4
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    with pytest.raises(TypeError):
+        circ.layers[0] = layer
+
+
+@pytest.mark.parametrize("via_view", [False, True])
+def test_frozen_objects_alias_no_caller_array(via_view):
+    """After construction, writing through the array the caller passed in,
+    or through the writable base of a read-only view it passed in, leaves
+    the GateOp, CircuitSpec, MPO and NoiseModel as built."""
+    rng = np.random.default_rng(0)
+    want = {"u": haar_single_qubit(rng), "rho": np.diag([0.25, 0.75]).astype(complex),
+            "t": rng.standard_normal((1, 4, 1)), "tau": biased_tau(0.2)}
+    passed, writable = {}, {}
+    for key, a in want.items():
+        if via_view:
+            writable[key] = np.stack([a, a])
+            passed[key] = writable[key][1]
+            passed[key].flags.writeable = False
+        else:
+            passed[key] = writable[key] = a.copy()
+    gate = GateOp(passed["u"], (0,))
+    circ = CircuitSpec(1, [Layer([gate], depolarizing(0.1))], [passed["rho"]])
+    op = mpo.MPO([passed["t"]])
+    model = replacement(0.3, passed["tau"])
+    for w in writable.values():
+        w[...] = 0.0
+    assert np.array_equal(gate.matrix, want["u"])
+    assert np.array_equal(circ.initial_state[0], want["rho"])
+    assert np.array_equal(op.tensors[0], want["t"])
+    assert np.array_equal(model.tau, want["tau"])
+
+
+def test_non_finite_gates_states_and_angles_raise():
+    """NaN passes every ``x > tol`` check, so non-finite input is rejected
+    by name before it reaches an SVD."""
+    nan = float("nan")
+    with pytest.raises(ValueError, match="gate matrix is not a finite unitary"):
+        GateOp(np.full((2, 2), nan), (0,))
+    with pytest.raises(ValueError, match=r"initial_state\[1\] must be finite"):
+        CircuitSpec(2, [], [_I / 2, np.full((2, 2), nan)])
+    with pytest.raises(ValueError, match=r"initial_state\[0\] must have unit trace"):
+        CircuitSpec(1, [], [_I])
+    with pytest.raises(ValueError, match="theta"):
+        brickwall_1d(4, 3, nan, 0.1, 1)
+    with pytest.raises(ValueError, match="theta"):
+        brickwall_2d_snake(2, 2, 2, float("inf"), 0.1, 1)

@@ -14,6 +14,7 @@ from noisebound.circuits import GateOp, Layer, CircuitSpec, zz_gate, brickwall_1
 from noisebound.exact import dense_simulate, product_density_matrix, purity_and_info
 from noisebound.noise import (
     biased_tau,
+    check_density_matrix,
     choi_matrix,
     depolarizing,
     dinf_term,
@@ -141,6 +142,27 @@ def test_parameter_validation():
         unital_pauli(0.5, 0.4, 0.3)       # rates sum past one
     with pytest.raises(ValueError):
         replacement(0.2, np.diag([1.0, 1.0]))   # not unit trace
+    # NaN fails every ``x > tol`` comparison; each check still rejects it
+    nan = float("nan")
+    with pytest.raises(ValueError, match="tau must be finite"):
+        check_density_matrix(np.full((2, 2), nan))
+    with pytest.raises(ValueError, match="rho must be finite"):
+        relent_product_state([np.diag([nan, 1.0])], biased_tau(0.1))
+    with pytest.raises(ValueError, match="u must be a finite unitary"):
+        unital_pauli(0.1, 0.1, 0.1, u=np.full((2, 2), nan))
+    with pytest.raises(ValueError, match="v must be a finite unitary"):
+        unital_pauli(0.1, 0.1, 0.1, v=np.diag([1.0, nan]))
+    with pytest.raises(ValueError, match="px, py, pz > 0"):
+        unital_pauli(0.1, nan, 0.1)
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), -0.5, -0.1, 1.5])
+def test_schedules_reject_a_rate_outside_the_unit_interval(p):
+    """Outside [0, 1] the closed forms give NaN caps, purities above 1 or
+    information above n bits; each schedule raises naming p instead."""
+    for schedule in (purity_schedule, info_schedule):
+        with pytest.raises(ValueError, match="p="):
+            schedule(4, 3, p)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ compressed or not.  Exactness at full bond dimension pins the chain rule
 sigma_t = E^dag_{t+1}(sigma_{t+1}).
 """
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -155,27 +157,27 @@ def test_layer_adjoint_matches_dense(family, kind, p):
 
 
 def test_layer_plan_follows_the_layer():
-    """The layer adjoint follows in-place edits of the layer's gates and
-    noise: each call plans the layer as it is."""
+    """A layer cannot change after construction, so the plan of each call
+    fits it: every edit of its gates or noise raises, and the layer adjoint
+    afterwards is bit-identical and matches the dense one."""
     circ, _ = brickwall_1d(4, 3, 0.4, 0.1, 2)
     layer = circ.layers[1]
     rng = np.random.default_rng(4)
     a = random_mpo(4, 2, rng)
-
-    def edits():
-        yield
+    before = apply_layer_adjoint(a, layer).to_dense()
+    with pytest.raises(ValueError, match="read-only"):
         layer.gates[-1].matrix[...] = haar_single_qubit(rng)
-        yield
+    with pytest.raises(ValueError, match="read-only"):
         layer.gates[0].matrix[...] = layer.gates[0].matrix.conj()
-        yield
+    with pytest.raises(FrozenInstanceError):
+        layer.gates[0].matrix = layer.gates[0].matrix.conj()
+    with pytest.raises(FrozenInstanceError):
         layer.noise = replacement(0.3, biased_tau(0.1))
-        yield
+    with pytest.raises(AttributeError):
         layer.gates.pop(0)
-        yield
-
-    for _ in edits():
-        got = apply_layer_adjoint(a, layer).to_dense()
-        assert np.abs(got - _dense_layer_adjoint(a.to_dense(), layer, 4)).max() < 1e-11
+    got = apply_layer_adjoint(a, layer).to_dense()
+    assert np.array_equal(got, before)
+    assert np.abs(got - _dense_layer_adjoint(a.to_dense(), layer, 4)).max() < 1e-11
 
 
 def test_layer_adjoint_rejects_a_site_outside_the_chain():
@@ -298,22 +300,22 @@ def _edit(circ, target, what):
 
 @pytest.mark.parametrize("what", ["noise", "gate", "initial_state", "target"])
 def test_tebd_records_follow_in_place_edits(what):
-    """A TebdDual's records serve only while its circuit and target hold
-    what they held at the build.  After an in-place edit of the noise of
-    every layer, one gate matrix, the initial state or a target tensor,
-    the dual is evaluated from its sigmas, at or below the exact energy
-    with zero tolerance.  Dropping the noise of the D = 4 dual of
-    brickwall_1d(4, 3, 0.3, 0.9, 1) gives -0.512 against an exact energy
-    of 1.4e-17, where the stale records gave 0.4992."""
+    """A TebdDual's records hold for the circuit and target it was built
+    from, and neither can change: an in-place edit of the noise of a
+    layer, one gate matrix, the initial state or a target tensor raises.
+    The records then still serve, bit for bit, at or below the exact
+    energy with zero tolerance.  (Were the noise of the D = 4 dual of
+    brickwall_1d(4, 3, 0.3, 0.9, 1) dropped in place, the exact energy
+    would fall to 1.4e-17 while the records gave 0.4992.)"""
     circ, target = brickwall_1d(4, 3, 0.3, 0.9, 1)
     dual = heisenberg_tebd(circ, target, 4)
     sched = purity_schedule(4, 3, 0.0)
-    _edit(circ, target, what)
-    val = dual_value(circ, dual, target, sched)
-    assert val.bound == dual_value(circ, dual.sigmas, target, sched).bound
-    assert val.bound <= dense_simulate(circ, hamiltonian=target).energy
-    if what == "noise":
-        assert val.bound == pytest.approx(-0.512, abs=1e-3)
+    before = dual_value(circ, dual, target, sched).bound
+    with pytest.raises((FrozenInstanceError, ValueError),
+                       match="read-only|cannot assign"):
+        _edit(circ, target, what)
+    assert dual_value(circ, dual, target, sched).bound == before
+    assert before <= dense_simulate(circ, hamiltonian=target).energy
 
 
 @pytest.mark.parametrize("depth", [1, 3])
