@@ -36,7 +36,7 @@ class NoiseModel:
     """A single-qubit channel applied to every site after a circuit layer.
 
     kind is one of ``depolarizing | unital_pauli | replacement | general``.
-    Only the fields relevant to the kind are set; arrays are read-only copies.
+    Only the fields relevant to the kind are set; arrays are read-only, unaliased.
     """
 
     kind: str

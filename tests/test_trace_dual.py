@@ -302,11 +302,10 @@ def _edit(circ, target, what):
 def test_tebd_records_follow_in_place_edits(what):
     """A TebdDual's records hold for the circuit and target it was built
     from, and neither can change: an in-place edit of the noise of a
-    layer, one gate matrix, the initial state or a target tensor raises.
+    layer, one gate matrix, the initial state or a target tensor raises,
+    where a stale record could certify a bound above the exact energy.
     The records then still serve, bit for bit, at or below the exact
-    energy with zero tolerance.  (Were the noise of the D = 4 dual of
-    brickwall_1d(4, 3, 0.3, 0.9, 1) dropped in place, the exact energy
-    would fall to 1.4e-17 while the records gave 0.4992.)"""
+    energy with zero tolerance."""
     circ, target = brickwall_1d(4, 3, 0.3, 0.9, 1)
     dual = heisenberg_tebd(circ, target, 4)
     sched = purity_schedule(4, 3, 0.0)
